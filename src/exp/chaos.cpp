@@ -33,6 +33,15 @@ bool outcome_from_string(std::string_view name, RunOutcome* out) {
   return false;
 }
 
+void OutcomeCounts::add(RunOutcome o) {
+  switch (o) {
+    case RunOutcome::kOk: ++ok; break;
+    case RunOutcome::kViolation: ++violation; break;
+    case RunOutcome::kHung: ++hung; break;
+    case RunOutcome::kCrashed: ++crashed; break;
+  }
+}
+
 const char kChaosSeriesHeader[] =
     "seed,time_s,buffer_s,level,stalls,chunks,wifi_bytes,cell_bytes,"
     "cell_share\n";
@@ -78,36 +87,6 @@ std::string ChaosRunResult::fingerprint() const {
   // The hung reason is deterministic for sim-event trips; including it
   // keeps a quarantined run's digest meaningful across worker counts.
   if (!hung_reason.empty()) out += " why=" + hung_reason;
-  return out;
-}
-
-int ChaosCampaignResult::violation_count() const {
-  int n = 0;
-  for (const ChaosRunResult& r : runs) {
-    n += static_cast<int>(r.violations.size());
-  }
-  return n;
-}
-
-OutcomeCounts ChaosCampaignResult::outcome_counts() const {
-  OutcomeCounts c;
-  for (const ChaosRunResult& r : runs) {
-    switch (r.outcome) {
-      case RunOutcome::kOk: ++c.ok; break;
-      case RunOutcome::kViolation: ++c.violation; break;
-      case RunOutcome::kHung: ++c.hung; break;
-      case RunOutcome::kCrashed: ++c.crashed; break;
-    }
-  }
-  return c;
-}
-
-std::string ChaosCampaignResult::digest() const {
-  std::string out;
-  for (const ChaosRunResult& r : runs) {
-    out += r.fingerprint();
-    out += '\n';
-  }
   return out;
 }
 
@@ -233,28 +212,23 @@ SessionSpec default_chaos_spec() {
   return s;
 }
 
-ScenarioConfig chaos_scenario_config(std::uint64_t run_seed) {
-  return resolve_scenario_config(SessionSpec{}, run_seed);
-}
-
-Video chaos_video(const ChaosConfig& cfg) {
-  // Fixed content seed: every chaos run streams the same bytes; only the
-  // network and the fault plan vary with the run seed.
-  return Video("chaos", seconds(2.0), cfg.chunk_count,
+Video synthetic_video(const std::string& name, int chunk_count) {
+  // Fixed content seed: every run streams the same bytes; only the
+  // network, the contention and the fault plan vary with the run seed.
+  return Video(name, seconds(2.0), chunk_count,
                {DataRate::mbps(0.6), DataRate::mbps(1.2), DataRate::mbps(2.4)},
                0.1, 42);
 }
 
-SessionConfig chaos_session_config(const ChaosConfig& cfg,
-                                   std::uint64_t run_seed) {
-  return resolve_session_config(cfg.session, run_seed);
+Video chaos_video(const ChaosConfig& cfg) {
+  return synthetic_video("chaos", cfg.chunk_count);
 }
 
 ChaosRunResult run_chaos_single(const ChaosConfig& cfg, const Video& video,
                                 std::uint64_t seed, const FaultPlan& plan,
                                 Telemetry& telemetry) {
   Scenario scenario(resolve_scenario_config(cfg.session, seed));
-  SessionConfig scfg = chaos_session_config(cfg, seed);
+  SessionConfig scfg = resolve_session_config(cfg.session, seed);
   SessionEnv env;
   env.telemetry = &telemetry;
   env.faults = &plan;
@@ -300,14 +274,12 @@ ChaosRunResult run_chaos_single(const ChaosConfig& cfg, const Video& video,
   ChaosRunResult out;
   out.seed = seed;
   SessionResult res;
-  bool hung = false;
   try {
     res = run_streaming_session(scenario, video, scfg, env);
   } catch (const WatchdogTripped& e) {
     // Quarantine: the simulation was killed mid-run, so there is no
     // SessionResult to audit — report the outcome and keep the campaign
     // moving. Any other exception still propagates (→ kCrashed upstream).
-    hung = true;
     out.outcome = RunOutcome::kHung;
     out.hung_reason = e.what();
   }
@@ -319,18 +291,7 @@ ChaosRunResult run_chaos_single(const ChaosConfig& cfg, const Video& video,
     telemetry.remove_sink(jsonl.get());
   }
 
-  if (hung) {
-    if (!cfg.bundle_dir.empty()) {
-      std::string err;
-      if (!write_repro_bundle(make_repro_bundle(cfg, out, plan),
-                              repro_bundle_path(cfg.bundle_dir, seed),
-                              &err)) {
-        std::fprintf(stderr, "chaos: bundle for seed %llu not written: %s\n",
-                     static_cast<unsigned long long>(seed), err.c_str());
-      }
-    }
-    return out;
-  }
+  if (out.outcome == RunOutcome::kHung) return out;
 
   out.completed = res.completed;
   out.session_s = res.session_s;
@@ -373,44 +334,27 @@ ChaosRunResult run_chaos_single(const ChaosConfig& cfg, const Video& video,
   }
   out.outcome = out.violations.empty() ? RunOutcome::kOk
                                        : RunOutcome::kViolation;
-  if (!cfg.bundle_dir.empty() && out.outcome != RunOutcome::kOk) {
-    std::string err;
-    if (!write_repro_bundle(make_repro_bundle(cfg, out, plan),
-                            repro_bundle_path(cfg.bundle_dir, seed), &err)) {
-      std::fprintf(stderr, "chaos: bundle for seed %llu not written: %s\n",
-                   static_cast<unsigned long long>(seed), err.c_str());
-    }
-  }
   return out;
 }
 
 ChaosCampaignResult run_chaos_campaign(const ChaosConfig& cfg) {
   const Video video = chaos_video(cfg);
-  Campaign<ChaosRunResult> campaign("chaos", cfg.base_seed);
-  for (int i = 0; i < cfg.seed_count; ++i) {
-    campaign.add("chaos/" + std::to_string(i),
-                 [&cfg, &video](RunContext& ctx) {
-                   return run_chaos_single(
-                       cfg, video, ctx.seed,
-                       random_fault_plan(ctx.seed, cfg.plan), ctx.telemetry);
-                 });
-  }
   CampaignOptions opts;
   opts.jobs = cfg.jobs;
   opts.progress = cfg.progress;
-  CampaignResult<ChaosRunResult> res = campaign.run(opts);
-
-  ChaosCampaignResult out;
-  out.stats = res.stats;
-  out.runs = std::move(res.results);
-  for (std::size_t i = 0; i < out.runs.size(); ++i) {
-    if (!res.reports[i].ok) {
-      out.runs[i].seed = res.reports[i].seed;
-      out.runs[i].outcome = RunOutcome::kCrashed;
-      out.runs[i].violations.push_back("run threw: " + res.reports[i].error);
-    }
-  }
-  return out;
+  return run_campaign<ChaosRunResult>(
+      "chaos", cfg.base_seed, cfg.seed_count, opts, cfg.bundle_dir,
+      [&cfg](const RunContext& ctx) {
+        ReproBundle in;
+        in.seed = ctx.seed;
+        in.spec = cfg.session;
+        in.chunk_count = cfg.chunk_count;
+        in.plan = random_fault_plan(ctx.seed, cfg.plan);
+        return in;
+      },
+      [&cfg, &video](const ReproBundle& in, RunContext& ctx) {
+        return run_chaos_single(cfg, video, in.seed, in.plan, ctx.telemetry);
+      });
 }
 
 }  // namespace mpdash

@@ -45,6 +45,60 @@ enum class RunOutcome : std::uint8_t {
 const char* to_string(RunOutcome o);
 bool outcome_from_string(std::string_view name, RunOutcome* out);
 
+// What every run reports, whatever it simulated: the triage outcome, the
+// watchdog's reason for kHung runs, and the invariant violations. Session
+// and fleet results both carry one; the campaign driver, the repro bundle
+// and the shrinker's oracle read nothing else.
+struct RunVerdict {
+  std::uint64_t seed = 0;
+  RunOutcome outcome = RunOutcome::kOk;
+  std::string hung_reason;              // kHung only
+  std::vector<std::string> violations;  // empty = all invariants hold
+
+  bool ok() const { return outcome == RunOutcome::kOk; }
+};
+
+// Jobs-invariant outcome tally for a whole campaign.
+struct OutcomeCounts {
+  int ok = 0;
+  int violation = 0;
+  int hung = 0;
+  int crashed = 0;
+
+  void add(RunOutcome o);
+  int bad() const { return violation + hung + crashed; }
+};
+
+// A finished campaign (see run_campaign in exp/repro.h) of `Run`s: any
+// RunVerdict with a deterministic fingerprint().
+template <typename Run>
+struct CampaignRuns {
+  std::vector<Run> runs;  // seed order
+  CampaignStats stats;
+
+  OutcomeCounts outcome_counts() const {
+    OutcomeCounts c;
+    for (const Run& r : runs) c.add(r.outcome);
+    return c;
+  }
+  // Every run finished with outcome kOk.
+  bool clean() const { return outcome_counts().bad() == 0; }
+  int violation_count() const {
+    int n = 0;
+    for (const Run& r : runs) n += static_cast<int>(r.violations.size());
+    return n;
+  }
+  // Concatenated per-run fingerprints: equal digests ⇔ identical campaigns.
+  std::string digest() const {
+    std::string out;
+    for (const Run& r : runs) {
+      out += r.fingerprint();
+      out += '\n';
+    }
+    return out;
+  }
+};
+
 // The spec every chaos run resolves per seed: recovery on, generous
 // watchdog budgets — a real chaos run is a few million events, so only a
 // livelocked simulation can exhaust the sim-event budget, and the
@@ -81,9 +135,10 @@ struct ChaosConfig {
   // pure observers, so the campaign digest is unchanged.
   bool attribution = false;
   std::FILE* progress = stderr;  // nullptr silences the runner
-  // When set, every non-ok run writes a self-contained repro bundle
-  // `repro_<seed>.json` into this directory (created on demand). Per-seed
-  // filenames keep emission race-free under any --jobs count.
+  // When set, the campaign writes a self-contained repro bundle
+  // `repro_<seed>.json` for every non-ok run into this directory (created
+  // on demand). Per-seed filenames keep emission race-free under any
+  // --jobs count.
   std::string bundle_dir;
   // Test-only: runs on the session's event loop before the session starts
   // (livelock injection for the watchdog/quarantine tests). Never set in
@@ -91,8 +146,8 @@ struct ChaosConfig {
   std::function<void(EventLoop&, std::uint64_t)> pre_session_hook;
 };
 
-struct ChaosRunResult {
-  std::uint64_t seed = 0;
+// A kHung run carries no session counters (it was aborted mid-sim).
+struct ChaosRunResult : RunVerdict {
   bool completed = false;
   double session_s = 0.0;
   int chunks_delivered = 0;
@@ -107,11 +162,6 @@ struct ChaosRunResult {
   int faults_started = 0;
   int faults_skipped = 0;
   bool manifest_failed = false;
-  // Triage outcome; kHung runs carry the watchdog's reason in
-  // `hung_reason` and no session counters (the run was aborted mid-sim).
-  RunOutcome outcome = RunOutcome::kOk;
-  std::string hung_reason;
-  std::vector<std::string> violations;  // empty = all invariants hold
   // Per-run QoE/byte-share time series (kChaosSeriesHeader rows, no
   // header); empty unless ChaosConfig::series_interval > 0.
   std::string series_csv;
@@ -120,33 +170,12 @@ struct ChaosRunResult {
   bool has_attribution = false;
   RollupRow attribution;
 
-  bool ok() const { return outcome == RunOutcome::kOk; }
   // Deterministic one-line digest of everything observable; the jobs-N
   // vs jobs-1 comparison hashes these.
   std::string fingerprint() const;
 };
 
-// Jobs-invariant outcome tally for a whole campaign.
-struct OutcomeCounts {
-  int ok = 0;
-  int violation = 0;
-  int hung = 0;
-  int crashed = 0;
-
-  int bad() const { return violation + hung + crashed; }
-};
-
-struct ChaosCampaignResult {
-  std::vector<ChaosRunResult> runs;  // seed order
-  CampaignStats stats;
-
-  int violation_count() const;
-  OutcomeCounts outcome_counts() const;
-  // Every run finished with outcome kOk.
-  bool clean() const { return outcome_counts().bad() == 0; }
-  // Concatenated per-run fingerprints: equal digests ⇔ identical campaigns.
-  std::string digest() const;
-};
+using ChaosCampaignResult = CampaignRuns<ChaosRunResult>;
 
 // Audits one finished session against the chaos invariants. Exposed so
 // tests can run single sessions through the same checks.
@@ -168,22 +197,17 @@ std::vector<std::string> check_counter_invariants(MetricsRegistry& m,
 std::vector<std::string> check_pipeline_invariants(
     const std::vector<TraceRecord>& trace, int max_retries);
 
-// Builds the per-seed SessionConfig (recovery knobs, jitter seed) — shared
-// by the campaign, the CLI, and the acceptance tests. Thin wrapper over
-// resolve_session_config(cfg.session, run_seed).
-SessionConfig chaos_session_config(const ChaosConfig& cfg,
-                                   std::uint64_t run_seed);
+// The fixed-content synthetic video chaos and fleet runs stream:
+// chunk_count × 2 s at 0.6/1.2/2.4 Mbps. `name` is written into the MPD
+// manifest, so it is part of the bytes on the wire.
+Video synthetic_video(const std::string& name, int chunk_count);
 
-// The scenario every chaos run streams over (moderate WiFi + LTE, per-run
-// link loss streams derived from `run_seed`) — the default-spec resolution.
-ScenarioConfig chaos_scenario_config(std::uint64_t run_seed);
-
-// The synthetic chaos video for `cfg.chunk_count` chunks.
+// The synthetic chaos video ("chaos") for `cfg.chunk_count` chunks.
 Video chaos_video(const ChaosConfig& cfg);
 
 // The exact campaign run body for one seed with an explicit fault plan:
 // scenario/session from (cfg, seed), watchdog armed, invariants audited,
-// outcome assigned, repro bundle emitted when cfg.bundle_dir is set.
+// outcome assigned. Writes no files besides the cfg.trace_path capture.
 // Exposed so `mpdash_sim repro` and the shrinker replay a bundle's stored
 // plan through the identical code path the campaign ran — same seeds,
 // same audits, same strings.
@@ -200,6 +224,8 @@ extern const char kChaosSeriesHeader[];
 std::string qoe_series_csv(const MetricsTimeline& timeline,
                            std::uint64_t seed);
 
+// Seeds `chaos/<i>` for i < cfg.seed_count, each with a random fault plan,
+// on the campaign driver (bundles for non-ok runs when cfg.bundle_dir).
 ChaosCampaignResult run_chaos_campaign(const ChaosConfig& cfg);
 
 }  // namespace mpdash

@@ -20,7 +20,8 @@
 // Chaos composes: a fleet-level fault plan attaches to the *shared* links,
 // so one AP blackout perturbs every tenant at once; the whole fleet runs
 // under one watchdog and non-ok campaign runs emit self-contained fleet
-// repro bundles (the fleet analogue of exp/repro.h).
+// repro bundles (exp/repro.h), which `mpdash_sim repro` replays and
+// `mpdash_sim shrink` minimizes like any other bundle.
 
 #include <cstdint>
 #include <string>
@@ -90,15 +91,11 @@ struct FleetSessionResult {
   std::vector<std::string> violations;
 };
 
-struct FleetResult {
-  std::uint64_t seed = 0;
-  RunOutcome outcome = RunOutcome::kOk;
-  std::string hung_reason;  // kHung only (fleet watchdog tripped)
-  double fleet_s = 0.0;     // sim time when the last tenant finished
+// The verdict's violations are the per-tenant audits (prefixed) plus
+// shared fault quiescence; kHung means the fleet watchdog tripped.
+struct FleetResult : RunVerdict {
+  double fleet_s = 0.0;  // sim time when the last tenant finished
   std::vector<FleetSessionResult> sessions;
-  // Fleet-level violations: per-tenant audits (prefixed) + shared fault
-  // quiescence.
-  std::vector<std::string> violations;
 
   // --- cross-session aggregates ----------------------------------------
   int completed = 0;      // tenants that finished playback
@@ -114,7 +111,6 @@ struct FleetResult {
   int faults_started = 0;
   int faults_skipped = 0;
 
-  bool ok() const { return outcome == RunOutcome::kOk; }
   // Deterministic one-line digest (aggregates + violation count); the
   // per-session CSV carries the rest of the observable state.
   std::string fingerprint() const;
@@ -149,52 +145,13 @@ struct FleetCampaignConfig {
   std::FILE* progress = stderr;
 };
 
-struct FleetCampaignResult {
-  std::vector<FleetResult> runs;  // seed order
-  CampaignStats stats;
+using FleetCampaignResult = CampaignRuns<FleetResult>;
 
-  OutcomeCounts outcome_counts() const;
-  bool clean() const { return outcome_counts().bad() == 0; }
-  // Concatenated per-run fingerprints: equal digests ⇔ identical campaigns.
-  std::string digest() const;
-  // Header + every run's per-session rows, seed order.
-  std::string sessions_csv() const;
-};
-
+// Seeds `fleet/<i>` for i < cfg.seed_count on the campaign driver (fleet
+// bundles for non-ok runs when cfg.bundle_dir is set).
 FleetCampaignResult run_fleet_campaign(const FleetCampaignConfig& cfg);
 
-// --- fleet repro bundles -----------------------------------------------
-// The fleet analogue of ReproBundle: the full FleetConfig (minus the
-// borrowed plan pointer), the plan itself, and the outcome the campaign
-// observed. Canonical serialization, same contract as exp/repro.h.
-
-struct FleetBundle {
-  int schema = 1;
-  std::uint64_t seed = 0;
-  FleetConfig config;  // config.faults is ignored; the plan is `plan`
-  FaultPlan plan;
-  RunOutcome outcome = RunOutcome::kViolation;
-  std::string hung_reason;
-  std::vector<std::string> expected_violations;
-};
-
-std::string fleet_bundle_to_json(const FleetBundle& b);
-bool fleet_bundle_from_json(const std::string& text, FleetBundle* out,
-                            std::string* error);
-bool write_fleet_bundle(const FleetBundle& b, const std::string& path,
-                        std::string* error);
-bool load_fleet_bundle(const std::string& path, FleetBundle* out,
-                       std::string* error);
-std::string fleet_bundle_path(const std::string& dir, std::uint64_t seed);
-
-struct FleetReplayResult {
-  FleetResult run;
-  bool matches = false;  // outcome + violation strings bitwise identical
-  std::vector<std::string> mismatches;
-};
-
-// Replays the bundle's plan through run_fleet and compares outcome and
-// violation strings against the bundle's expectations.
-FleetReplayResult replay_fleet_bundle(const FleetBundle& b);
+// Header + every run's per-session rows, seed order.
+std::string fleet_campaign_csv(const FleetCampaignResult& c);
 
 }  // namespace mpdash

@@ -13,25 +13,131 @@ namespace mpdash {
 
 namespace {
 
-std::string u64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%llu",
-                static_cast<unsigned long long>(v));
-  return buf;
+constexpr char kSessionKind[] = "mpdash-repro";
+constexpr char kFleetKind[] = "mpdash-fleet-repro";
+
+std::string fleet_config_to_json(const FleetConfig& c) {
+  // Canonical one-line object, same conventions as session_spec_to_json.
+  std::string out = "{";
+  out += "\"sessions\": " + std::to_string(c.sessions);
+  out += ", \"chunk_count\": " + std::to_string(c.chunk_count);
+  out += ", \"mix\": [";
+  for (std::size_t i = 0; i < c.mix.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += session_spec_to_json(c.mix[i]);
+  }
+  out += "]";
+  out += ", \"discipline\": " + json_quote(to_string(c.discipline));
+  out += ", \"fq_quantum\": " + std::to_string(c.fq_quantum);
+  out += ", \"wifi_mbps\": " + json_double(c.wifi_mbps);
+  out += ", \"lte_mbps\": " + json_double(c.lte_mbps);
+  out += ", \"wifi_up_mbps\": " + json_double(c.wifi_up_mbps);
+  out += ", \"lte_up_mbps\": " + json_double(c.lte_up_mbps);
+  out += ", \"wifi_rtt_ns\": " + std::to_string(c.wifi_rtt.count());
+  out += ", \"lte_rtt_ns\": " + std::to_string(c.lte_rtt.count());
+  out += ", \"queue_capacity\": " + std::to_string(c.queue_capacity);
+  out += ", \"join_stagger_ns\": " + std::to_string(c.join_stagger.count());
+  out += ", \"time_limit_ns\": " + std::to_string(c.time_limit.count());
+  out += ", \"watchdog\": " + watchdog_to_json(c.watchdog);
+  out += "}";
+  return out;
+}
+
+bool fleet_config_from_json_value(const JsonValue& root, FleetConfig* out,
+                                  std::string* error) {
+  if (!root.is_object()) {
+    if (error) *error = "fleet config: not an object";
+    return false;
+  }
+  FleetConfig c;
+  auto bad = [error](const char* what) {
+    if (error) {
+      *error = std::string("fleet config: missing or bad \"") + what + "\"";
+    }
+    return false;
+  };
+  const JsonValue* v = root.find("sessions");
+  if (v == nullptr || !v->is_number()) return bad("sessions");
+  c.sessions = static_cast<int>(v->as_int64(4));
+  v = root.find("chunk_count");
+  if (v == nullptr || !v->is_number()) return bad("chunk_count");
+  c.chunk_count = static_cast<int>(v->as_int64(20));
+  v = root.find("mix");
+  if (v == nullptr || !v->is_array()) return bad("mix");
+  c.mix.clear();
+  for (const JsonValue& item : v->items) {
+    SessionSpec spec;
+    std::string spec_error;
+    if (!session_spec_from_json_value(item, &spec, &spec_error)) {
+      if (error) *error = "fleet config: mix entry: " + spec_error;
+      return false;
+    }
+    c.mix.push_back(std::move(spec));
+  }
+  v = root.find("discipline");
+  if (v == nullptr || !v->is_string()) return bad("discipline");
+  if (v->str == to_string(QueueDiscipline::kFifo)) {
+    c.discipline = QueueDiscipline::kFifo;
+  } else if (v->str == to_string(QueueDiscipline::kFairQueue)) {
+    c.discipline = QueueDiscipline::kFairQueue;
+  } else {
+    return bad("discipline");
+  }
+  v = root.find("fq_quantum");
+  if (v == nullptr || !v->is_number()) return bad("fq_quantum");
+  c.fq_quantum = v->as_int64(1500);
+  auto read_double = [&root, &bad](const char* name, double* field) {
+    const JsonValue* w = root.find(name);
+    if (w == nullptr || !w->is_number()) return bad(name);
+    *field = w->as_double(0.0);
+    return true;
+  };
+  if (!read_double("wifi_mbps", &c.wifi_mbps)) return false;
+  if (!read_double("lte_mbps", &c.lte_mbps)) return false;
+  if (!read_double("wifi_up_mbps", &c.wifi_up_mbps)) return false;
+  if (!read_double("lte_up_mbps", &c.lte_up_mbps)) return false;
+  v = root.find("wifi_rtt_ns");
+  if (v == nullptr || !v->is_number()) return bad("wifi_rtt_ns");
+  c.wifi_rtt = Duration(v->as_int64(0));
+  v = root.find("lte_rtt_ns");
+  if (v == nullptr || !v->is_number()) return bad("lte_rtt_ns");
+  c.lte_rtt = Duration(v->as_int64(0));
+  v = root.find("queue_capacity");
+  if (v == nullptr || !v->is_number()) return bad("queue_capacity");
+  c.queue_capacity = v->as_int64(0);
+  v = root.find("join_stagger_ns");
+  if (v == nullptr || !v->is_number()) return bad("join_stagger_ns");
+  c.join_stagger = Duration(v->as_int64(0));
+  v = root.find("time_limit_ns");
+  if (v == nullptr || !v->is_number()) return bad("time_limit_ns");
+  c.time_limit = Duration(v->as_int64(0));
+  if (const char* field =
+          watchdog_from_json_value(root.find("watchdog"), &c.watchdog)) {
+    return bad(field);
+  }
+  *out = std::move(c);
+  return true;
 }
 
 }  // namespace
 
 std::string repro_bundle_to_json(const ReproBundle& b) {
   // Canonical: fixed field order, every field always emitted, one
-  // top-level field per line (the embedded spec and plan keep their own
-  // layouts). Always writes the current schema.
+  // top-level field per line (the embedded spec/config and plan keep their
+  // own layouts). Always writes the current schema of the bundle's kind.
   std::string out = "{\n";
-  out += "\"schema\": 2,\n";
-  out += "\"kind\": \"mpdash-repro\",\n";
-  out += "\"seed\": " + u64(b.seed) + ",\n";
-  out += "\"spec\": " + session_spec_to_json(b.spec) + ",\n";
-  out += "\"chunk_count\": " + std::to_string(b.chunk_count) + ",\n";
+  if (b.fleet) {
+    out += "\"schema\": 1,\n";
+    out += std::string("\"kind\": \"") + kFleetKind + "\",\n";
+    out += "\"seed\": " + json_u64(b.seed) + ",\n";
+    out += "\"config\": " + fleet_config_to_json(*b.fleet) + ",\n";
+  } else {
+    out += "\"schema\": 2,\n";
+    out += std::string("\"kind\": \"") + kSessionKind + "\",\n";
+    out += "\"seed\": " + json_u64(b.seed) + ",\n";
+    out += "\"spec\": " + session_spec_to_json(b.spec) + ",\n";
+    out += "\"chunk_count\": " + std::to_string(b.chunk_count) + ",\n";
+  }
   out += "\"plan\": " + fault_plan_to_json(b.plan) + ",\n";
   out += "\"outcome\": " + json_quote(to_string(b.outcome)) + ",\n";
   out += "\"hung_reason\": " + json_quote(b.hung_reason) + ",\n";
@@ -54,35 +160,44 @@ bool repro_bundle_from_json(const std::string& text, ReproBundle* out,
     return false;
   }
   const JsonValue* kind = root.find("kind");
-  if (kind == nullptr || !kind->is_string() || kind->str != "mpdash-repro") {
+  const bool fleet = kind != nullptr && kind->is_string() &&
+                     kind->str == kFleetKind;
+  if (!fleet && (kind == nullptr || !kind->is_string() ||
+                 kind->str != kSessionKind)) {
     if (error) *error = "bundle: missing or wrong \"kind\" marker";
     return false;
   }
-
-  ReproBundle b;
-  auto missing = [error](const char* field) {
-    if (error) *error = std::string("bundle: missing field \"") + field + "\"";
+  // Error strings name the kind: "bundle: ..." or "fleet bundle: ...".
+  const std::string prefix = fleet ? "fleet bundle: " : "bundle: ";
+  auto fail = [error, &prefix](const std::string& what) {
+    if (error) *error = prefix + what;
     return false;
   };
+  auto missing = [&fail](const char* field) {
+    return fail(std::string("missing field \"") + field + "\"");
+  };
+
+  ReproBundle b;
   const JsonValue* v = root.find("schema");
   if (v == nullptr || !v->is_number()) return missing("schema");
   b.schema = static_cast<int>(v->as_int64(1));
-  if (b.schema != 1 && b.schema != 2) {
-    if (error) {
-      *error = "bundle: unsupported schema " + std::to_string(b.schema);
-    }
-    return false;
+  if (b.schema != 1 && (fleet || b.schema != 2)) {
+    return fail("unsupported schema " + std::to_string(b.schema));
   }
   v = root.find("seed");
   if (v == nullptr || !v->is_number()) return missing("seed");
   b.seed = v->as_uint64(0);
-  if (b.schema >= 2) {
+  if (fleet) {
+    v = root.find("config");
+    if (v == nullptr) return missing("config");
+    b.fleet.emplace();
+    if (!fleet_config_from_json_value(*v, &*b.fleet, error)) return false;
+  } else if (b.schema >= 2) {
     v = root.find("spec");
     if (v == nullptr) return missing("spec");
     std::string spec_error;
     if (!session_spec_from_json_value(*v, &b.spec, &spec_error)) {
-      if (error) *error = "bundle: " + spec_error;
-      return false;
+      return fail(spec_error);
     }
   } else {
     // Schema-1 bundle: the session knobs were flat top-level fields; map
@@ -91,8 +206,7 @@ bool repro_bundle_from_json(const std::string& text, ReproBundle* out,
     v = root.find("scheme");
     if (v == nullptr || !v->is_string() ||
         !scheme_from_string(v->str, &b.spec.scheme)) {
-      if (error) *error = "bundle: bad \"scheme\"";
-      return false;
+      return fail("bad \"scheme\"");
     }
     v = root.find("adaptation");
     if (v != nullptr && v->is_string()) b.spec.adaptation = v->str;
@@ -117,27 +231,25 @@ bool repro_bundle_from_json(const std::string& text, ReproBundle* out,
       if (w != nullptr) b.spec.watchdog.poll_interval = w->as_uint64(4096);
     }
   }
-  v = root.find("chunk_count");
-  if (v == nullptr || !v->is_number()) return missing("chunk_count");
-  b.chunk_count = static_cast<int>(v->as_int64(0));
+  if (!fleet) {
+    v = root.find("chunk_count");
+    if (v == nullptr || !v->is_number()) return missing("chunk_count");
+    b.chunk_count = static_cast<int>(v->as_int64(0));
+  }
   v = root.find("plan");
   if (v == nullptr) return missing("plan");
   if (!fault_plan_from_json_value(*v, &b.plan, error)) return false;
   v = root.find("outcome");
   if (v == nullptr || !v->is_string() ||
       !outcome_from_string(v->str, &b.outcome)) {
-    if (error) *error = "bundle: bad \"outcome\"";
-    return false;
+    return fail("bad \"outcome\"");
   }
   v = root.find("hung_reason");
   if (v != nullptr && v->is_string()) b.hung_reason = v->str;
   v = root.find("expected_violations");
   if (v != nullptr && v->is_array()) {
     for (const JsonValue& item : v->items) {
-      if (!item.is_string()) {
-        if (error) *error = "bundle: non-string violation entry";
-        return false;
-      }
+      if (!item.is_string()) return fail("non-string violation entry");
       b.expected_violations.push_back(item.str);
     }
   }
@@ -180,24 +292,12 @@ bool load_repro_bundle(const std::string& path, ReproBundle* out,
   return repro_bundle_from_json(text, out, error);
 }
 
-std::string repro_bundle_path(const std::string& dir, std::uint64_t seed) {
+std::string repro_bundle_path(const std::string& dir, std::uint64_t seed,
+                              bool fleet) {
   std::string path = dir;
   if (!path.empty() && path.back() != '/') path += '/';
-  return path + "repro_" + u64(seed) + ".json";
-}
-
-ReproBundle make_repro_bundle(const ChaosConfig& cfg,
-                              const ChaosRunResult& run,
-                              const FaultPlan& plan) {
-  ReproBundle b;
-  b.seed = run.seed;
-  b.spec = cfg.session;
-  b.chunk_count = cfg.chunk_count;
-  b.plan = plan;
-  b.outcome = run.outcome;
-  b.hung_reason = run.hung_reason;
-  b.expected_violations = run.violations;
-  return b;
+  return path + (fleet ? "fleet_repro_" : "repro_") + json_u64(seed) +
+         ".json";
 }
 
 ChaosConfig bundle_chaos_config(const ReproBundle& b) {
@@ -207,16 +307,30 @@ ChaosConfig bundle_chaos_config(const ReproBundle& b) {
   cfg.session = b.spec;
   cfg.chunk_count = b.chunk_count;
   cfg.progress = nullptr;
-  // Never re-emit bundles from a replay.
-  cfg.bundle_dir.clear();
+  return cfg;
+}
+
+FleetConfig bundle_fleet_config(const ReproBundle& b) {
+  FleetConfig cfg = *b.fleet;
+  cfg.seed = b.seed;
+  cfg.faults = b.plan.empty() ? nullptr : &b.plan;
   return cfg;
 }
 
 ReplayResult replay_repro_bundle(const ReproBundle& b) {
-  const ChaosConfig cfg = bundle_chaos_config(b);
   Telemetry telemetry;
   ReplayResult out;
-  out.run = run_chaos_single(cfg, chaos_video(cfg), b.seed, b.plan, telemetry);
+  if (b.fleet) {
+    const FleetResult r = run_fleet(bundle_fleet_config(b), &telemetry);
+    out.run = r;
+    out.fingerprint = r.fingerprint();
+  } else {
+    const ChaosConfig cfg = bundle_chaos_config(b);
+    const ChaosRunResult r =
+        run_chaos_single(cfg, chaos_video(cfg), b.seed, b.plan, telemetry);
+    out.run = r;
+    out.fingerprint = r.fingerprint();
+  }
 
   if (out.run.outcome != b.outcome) {
     out.mismatches.push_back(std::string("outcome: expected ") +

@@ -4,9 +4,11 @@
 #include <cstring>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "exp/repro.h"
 #include "runner/campaign.h"
 
 namespace mpdash {
@@ -38,6 +40,14 @@ std::string violation_kind(const std::string& violation) {
       {"reopened after close", "span reopened"},
       {"delivered to dead span", "dead span response"},
   };
+  // Fleet audits prefix each tenant's violations with "session <i>: ".
+  constexpr std::string_view kTenant = "session ";
+  const std::size_t colon = violation.find(": ");
+  if (violation.rfind(kTenant, 0) == 0 && colon > kTenant.size() &&
+      violation.find_first_not_of("0123456789", kTenant.size()) == colon) {
+    return violation.substr(0, colon + 2) +
+           violation_kind(violation.substr(colon + 2));
+  }
   for (const KindRule& r : kPrefix) {
     if (violation.rfind(r.needle, 0) == 0) return r.key;
   }
@@ -64,26 +74,9 @@ std::string violation_signature(RunOutcome outcome,
 
 namespace {
 
-// Replays one candidate through the campaign code path; any non-watchdog
-// exception becomes the same kCrashed shape the campaign reports.
-ChaosRunResult probe(const ReproBundle& bundle, const FaultPlan& plan,
-                     Duration time_limit, Telemetry& telemetry) {
-  ChaosConfig cfg = bundle_chaos_config(bundle);
-  cfg.session.time_limit = time_limit;
-  try {
-    return run_chaos_single(cfg, chaos_video(cfg), bundle.seed, plan,
-                            telemetry);
-  } catch (const std::exception& e) {
-    ChaosRunResult r;
-    r.seed = bundle.seed;
-    r.outcome = RunOutcome::kCrashed;
-    r.violations.push_back(std::string("run threw: ") + e.what());
-    return r;
-  }
-}
-
 // The delta-debugging oracle: candidate batches replay through the
-// parallel campaign runner; acceptance is always the first interesting
+// campaign driver (which folds a throwing replay into kCrashed, exactly as
+// a campaign reports it); acceptance is always the first interesting
 // candidate in batch order (add-order result slots), so shrinking is
 // deterministic for any jobs count.
 struct Oracle {
@@ -92,37 +85,42 @@ struct Oracle {
   std::string target;
   int sim_runs = 0;
 
-  bool interesting(const ChaosRunResult& r) const {
+  // The bundle's run with each candidate plan and `time_limit`, in order.
+  std::vector<RunVerdict> replay(const std::vector<FaultPlan>& plans,
+                                 Duration time_limit) {
+    sim_runs += static_cast<int>(plans.size());
+    CampaignOptions opts;
+    opts.jobs = cfg.jobs;
+    opts.progress = nullptr;
+    return run_campaign<RunVerdict>(
+               "shrink", bundle.seed, static_cast<int>(plans.size()), opts,
+               "",
+               [this, &plans, time_limit](const RunContext& ctx) {
+                 ReproBundle b = bundle;
+                 b.plan = plans[static_cast<std::size_t>(ctx.index)];
+                 b.time_limit() = time_limit;
+                 return b;
+               },
+               [](const ReproBundle& b, RunContext&) {
+                 return replay_repro_bundle(b).run;
+               })
+        .runs;
+  }
+
+  bool interesting(const RunVerdict& r) const {
     return violation_signature(r.outcome, r.violations, cfg.strict) == target;
   }
 
   bool check(const FaultPlan& plan, Duration time_limit) {
-    ++sim_runs;
-    Telemetry telemetry;
-    return interesting(probe(bundle, plan, time_limit, telemetry));
+    return interesting(replay({plan}, time_limit)[0]);
   }
 
   // Index of the first interesting candidate, or -1.
   int first_interesting(const std::vector<FaultPlan>& plans,
                         Duration time_limit) {
-    Campaign<char> campaign("shrink", bundle.seed);
-    for (std::size_t i = 0; i < plans.size(); ++i) {
-      const FaultPlan& plan = plans[i];
-      campaign.add("cand/" + std::to_string(i),
-                   [this, &plan, time_limit](RunContext& ctx) {
-                     return interesting(probe(bundle, plan, time_limit,
-                                              ctx.telemetry))
-                                ? char(1)
-                                : char(0);
-                   });
-    }
-    CampaignOptions opts;
-    opts.jobs = cfg.jobs;
-    opts.progress = nullptr;
-    CampaignResult<char> res = campaign.run(opts);
-    sim_runs += static_cast<int>(plans.size());
-    for (std::size_t i = 0; i < res.results.size(); ++i) {
-      if (res.results[i] == 1) return static_cast<int>(i);
+    const std::vector<RunVerdict> runs = replay(plans, time_limit);
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      if (interesting(runs[i])) return static_cast<int>(i);
     }
     return -1;
   }
@@ -190,14 +188,12 @@ ShrinkResult shrink_repro_bundle(const ReproBundle& bundle,
 
   Oracle oracle{bundle, cfg, "", 0};
 
+  FaultPlan plan = bundle.plan;
+  Duration time_limit = res.minimized.time_limit();
+
   // Baseline: the stored plan must still provoke a failure, and its
   // signature becomes the oracle target.
-  ChaosRunResult base;
-  {
-    ++oracle.sim_runs;
-    Telemetry telemetry;
-    base = probe(bundle, bundle.plan, bundle.spec.time_limit, telemetry);
-  }
+  const RunVerdict base = oracle.replay({plan}, time_limit)[0];
   oracle.target = violation_signature(base.outcome, base.violations,
                                       cfg.strict);
   logln("baseline: " + std::to_string(res.initial_events) +
@@ -208,9 +204,6 @@ ShrinkResult shrink_repro_bundle(const ReproBundle& bundle,
     return res;
   }
   res.reproduced = true;
-
-  FaultPlan plan = bundle.plan;
-  Duration time_limit = bundle.spec.time_limit;
 
   // --- ddmin over event indices -----------------------------------------
   // Quick exit: if the failure does not need faults at all, the minimal
@@ -277,60 +270,49 @@ ShrinkResult shrink_repro_bundle(const ReproBundle& bundle,
         std::to_string(plan.events.size()) + " events");
 
   // --- attribute ladders (serial, order-deterministic) ------------------
-  if (cfg.shrink_durations) {
-    const Duration floor = seconds(0.1);
-    for (std::size_t i = 0; i < plan.events.size(); ++i) {
-      while (plan.events[i].duration > floor) {
-        Duration half = plan.events[i].duration / 2;
-        if (half < floor) half = floor;
-        FaultPlan trial = plan;
-        trial.events[i].duration = half;
-        if (!oracle.check(trial, time_limit)) break;
-        ++res.steps;
-        logln("duration: event " + std::to_string(i) + " " +
-              std::to_string(plan.events[i].duration.count()) + "ns -> " +
-              std::to_string(half.count()) + "ns");
-        plan = std::move(trial);
-      }
-    }
-  }
-  if (cfg.shrink_values) {
-    for (std::size_t i = 0; i < plan.events.size(); ++i) {
-      for (;;) {
-        FaultPlan trial = plan;
-        if (!benign_step(&trial.events[i])) break;
-        if (!oracle.check(trial, time_limit)) break;
-        ++res.steps;
-        logln("value: event " + std::to_string(i) + " " +
-              std::to_string(plan.events[i].value) + " -> " +
-              std::to_string(trial.events[i].value));
-        plan = std::move(trial);
-      }
-    }
-  }
-  if (cfg.shrink_horizon) {
-    const Duration floor = seconds(10.0);
-    while (time_limit > floor) {
-      Duration half = time_limit / 2;
-      if (half < floor) half = floor;
-      if (!oracle.check(plan, half)) break;
+  const Duration duration_floor = seconds(0.1);
+  for (std::size_t i = 0; i < plan.events.size(); ++i) {
+    while (plan.events[i].duration > duration_floor) {
+      Duration half = plan.events[i].duration / 2;
+      if (half < duration_floor) half = duration_floor;
+      FaultPlan trial = plan;
+      trial.events[i].duration = half;
+      if (!oracle.check(trial, time_limit)) break;
       ++res.steps;
-      logln("horizon: time limit " + std::to_string(time_limit.count()) +
-            "ns -> " + std::to_string(half.count()) + "ns");
-      time_limit = half;
+      logln("duration: event " + std::to_string(i) + " " +
+            std::to_string(plan.events[i].duration.count()) + "ns -> " +
+            std::to_string(half.count()) + "ns");
+      plan = std::move(trial);
     }
+  }
+  for (std::size_t i = 0; i < plan.events.size(); ++i) {
+    for (;;) {
+      FaultPlan trial = plan;
+      if (!benign_step(&trial.events[i])) break;
+      if (!oracle.check(trial, time_limit)) break;
+      ++res.steps;
+      logln("value: event " + std::to_string(i) + " " +
+            std::to_string(plan.events[i].value) + " -> " +
+            std::to_string(trial.events[i].value));
+      plan = std::move(trial);
+    }
+  }
+  const Duration horizon_floor = seconds(10.0);
+  while (time_limit > horizon_floor) {
+    Duration half = time_limit / 2;
+    if (half < horizon_floor) half = horizon_floor;
+    if (!oracle.check(plan, half)) break;
+    ++res.steps;
+    logln("horizon: time limit " + std::to_string(time_limit.count()) +
+          "ns -> " + std::to_string(half.count()) + "ns");
+    time_limit = half;
   }
 
   // Final run rewrites the bundle's expectations to the minimized plan's
   // actual strings, so `mpdash_sim repro minimized.json` verifies bitwise.
-  ChaosRunResult fin;
-  {
-    ++oracle.sim_runs;
-    Telemetry telemetry;
-    fin = probe(bundle, plan, time_limit, telemetry);
-  }
+  const RunVerdict fin = oracle.replay({plan}, time_limit)[0];
   res.minimized.plan = plan;
-  res.minimized.spec.time_limit = time_limit;
+  res.minimized.time_limit() = time_limit;
   res.minimized.outcome = fin.outcome;
   res.minimized.hung_reason = fin.hung_reason;
   res.minimized.expected_violations = fin.violations;

@@ -1,7 +1,6 @@
 #include "exp/spec.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 namespace mpdash {
@@ -17,16 +16,25 @@ bool scheme_from_string(std::string_view name, Scheme* out) {
   return false;
 }
 
-namespace {
-
-std::string u64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%llu",
-                static_cast<unsigned long long>(v));
-  return buf;
+std::string watchdog_to_json(const WatchdogConfig& w) {
+  return "{\"max_sim_events\": " + json_u64(w.max_sim_events) +
+         ", \"max_wall_s\": " + json_double(w.max_wall_s) +
+         ", \"poll_interval\": " + json_u64(w.poll_interval) + "}";
 }
 
-}  // namespace
+const char* watchdog_from_json_value(const JsonValue* v, WatchdogConfig* out) {
+  if (v == nullptr || !v->is_object()) return "watchdog";
+  const JsonValue* w = v->find("max_sim_events");
+  if (w == nullptr || !w->is_number()) return "watchdog.max_sim_events";
+  out->max_sim_events = w->as_uint64(0);
+  w = v->find("max_wall_s");
+  if (w == nullptr || !w->is_number()) return "watchdog.max_wall_s";
+  out->max_wall_s = w->as_double(0.0);
+  w = v->find("poll_interval");
+  if (w == nullptr || !w->is_number()) return "watchdog.poll_interval";
+  out->poll_interval = w->as_uint64(4096);
+  return nullptr;
+}
 
 std::string session_spec_to_json(const SessionSpec& s) {
   // Canonical: fixed field order, every field always emitted, one line —
@@ -45,9 +53,7 @@ std::string session_spec_to_json(const SessionSpec& s) {
   out += ", \"startup_buffer_s\": " + json_double(s.startup_buffer_s);
   out += std::string(", \"recovery\": ") + (s.recovery ? "true" : "false");
   out += ", \"time_limit_ns\": " + std::to_string(s.time_limit.count());
-  out += ", \"watchdog\": {\"max_sim_events\": " + u64(s.watchdog.max_sim_events) +
-         ", \"max_wall_s\": " + json_double(s.watchdog.max_wall_s) +
-         ", \"poll_interval\": " + u64(s.watchdog.poll_interval) + "}";
+  out += ", \"watchdog\": " + watchdog_to_json(s.watchdog);
   out += "}";
   return out;
 }
@@ -107,18 +113,9 @@ bool session_spec_from_json_value(const JsonValue& root, SessionSpec* out,
   v = root.find("time_limit_ns");
   if (v == nullptr || !v->is_number()) return bad("time_limit_ns");
   s.time_limit = Duration(v->as_int64(0));
-  v = root.find("watchdog");
-  if (v == nullptr || !v->is_object()) return bad("watchdog");
-  {
-    const JsonValue* w = v->find("max_sim_events");
-    if (w == nullptr || !w->is_number()) return bad("watchdog.max_sim_events");
-    s.watchdog.max_sim_events = w->as_uint64(0);
-    w = v->find("max_wall_s");
-    if (w == nullptr || !w->is_number()) return bad("watchdog.max_wall_s");
-    s.watchdog.max_wall_s = w->as_double(0.0);
-    w = v->find("poll_interval");
-    if (w == nullptr || !w->is_number()) return bad("watchdog.poll_interval");
-    s.watchdog.poll_interval = w->as_uint64(4096);
+  if (const char* field =
+          watchdog_from_json_value(root.find("watchdog"), &s.watchdog)) {
+    return bad(field);
   }
   *out = std::move(s);
   return true;

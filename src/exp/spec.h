@@ -63,6 +63,13 @@ bool session_spec_from_json_value(const JsonValue& v, SessionSpec* out,
 bool session_spec_from_json(const std::string& text, SessionSpec* out,
                             std::string* error);
 
+// Strict watchdog object shared by the spec and fleet-config serializers:
+// canonical one-line JSON, and a reader that requires every field. The
+// reader returns nullptr on success, else the name of the first missing or
+// bad field ("watchdog", "watchdog.max_sim_events", ...).
+std::string watchdog_to_json(const WatchdogConfig& w);
+const char* watchdog_from_json_value(const JsonValue* v, WatchdogConfig* out);
+
 // Resolution: spec + per-run seed → the runtime views. All derived seeds
 // (link loss streams, HTTP retry jitter) come from `run_seed` via named
 // streams, so one (spec, seed) pair maps to exactly one simulation.

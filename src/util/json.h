@@ -66,4 +66,7 @@ std::string json_quote(std::string_view s);
 // uses so parse → re-serialize is bitwise stable.
 std::string json_double(double v);
 
+// Decimal form of an unsigned 64-bit integer (seeds, event budgets).
+std::string json_u64(std::uint64_t v);
+
 }  // namespace mpdash

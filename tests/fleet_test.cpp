@@ -3,7 +3,7 @@
 // --jobs-invariant, fair queueing equalizes tenants that FIFO starves,
 // the cross-session aggregates are consistent with the per-session rows,
 // the session mix cycles deterministically, and fleet repro bundles
-// round-trip and replay to the same outcome.
+// round-trip, replay to the same outcome, and shrink to their culprit.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "exp/fleet.h"
+#include "exp/repro.h"
+#include "exp/shrink.h"
 #include "exp/spec.h"
 #include "fault/fault.h"
 #include "runner/campaign.h"
@@ -55,8 +57,8 @@ TEST(Fleet, CampaignOutputIsJobsInvariant) {
   ASSERT_EQ(serial.runs.size(), 3u);
   EXPECT_EQ(serial.digest(), parallel.digest());
   // The CSV the CI lane compares must be byte-identical, header included.
-  EXPECT_EQ(serial.sessions_csv(), parallel.sessions_csv());
-  EXPECT_EQ(serial.sessions_csv().rfind(kFleetCsvHeader, 0), 0u);
+  EXPECT_EQ(fleet_campaign_csv(serial), fleet_campaign_csv(parallel));
+  EXPECT_EQ(fleet_campaign_csv(serial).rfind(kFleetCsvHeader, 0), 0u);
 }
 
 TEST(Fleet, DifferentSeedsDiverge) {
@@ -177,19 +179,19 @@ TEST(Fleet, ChaosCampaignIsJobsInvariant) {
   cfg.progress = nullptr;
 
   cfg.jobs = 1;
-  const std::string serial = run_fleet_campaign(cfg).sessions_csv();
+  const std::string serial = fleet_campaign_csv(run_fleet_campaign(cfg));
   cfg.jobs = 4;
-  EXPECT_EQ(run_fleet_campaign(cfg).sessions_csv(), serial);
+  EXPECT_EQ(fleet_campaign_csv(run_fleet_campaign(cfg)), serial);
 }
 
 // --- fleet repro bundles -------------------------------------------------
 
-FleetBundle sample_fleet_bundle() {
-  FleetBundle b;
+ReproBundle sample_fleet_bundle() {
+  ReproBundle b;
   b.seed = 33;
-  b.config = FleetConfig{};
-  b.config.sessions = 2;
-  b.config.chunk_count = 6;
+  b.fleet = FleetConfig{};
+  b.fleet->sessions = 2;
+  b.fleet->chunk_count = 6;
   FaultEvent e;
   e.kind = FaultKind::kRateCollapse;
   e.at = kTimeZero + seconds(5.0);
@@ -202,39 +204,39 @@ FleetBundle sample_fleet_bundle() {
   return b;
 }
 
-TEST(FleetBundle, JsonRoundTripsBitwise) {
-  const FleetBundle b = sample_fleet_bundle();
-  const std::string text = fleet_bundle_to_json(b);
-  FleetBundle parsed;
+TEST(FleetRepro, JsonRoundTripsBitwise) {
+  const ReproBundle b = sample_fleet_bundle();
+  const std::string text = repro_bundle_to_json(b);
+  ReproBundle parsed;
   std::string err;
-  ASSERT_TRUE(fleet_bundle_from_json(text, &parsed, &err)) << err;
+  ASSERT_TRUE(repro_bundle_from_json(text, &parsed, &err)) << err;
   EXPECT_EQ(parsed.seed, b.seed);
-  EXPECT_EQ(parsed.config, b.config);
+  EXPECT_EQ(parsed.fleet, b.fleet);
   EXPECT_EQ(parsed.outcome, b.outcome);
   EXPECT_EQ(parsed.expected_violations, b.expected_violations);
-  EXPECT_EQ(fleet_bundle_to_json(parsed), text);
+  EXPECT_EQ(repro_bundle_to_json(parsed), text);
 
-  EXPECT_FALSE(fleet_bundle_from_json("{}", &parsed, &err));
-  EXPECT_FALSE(fleet_bundle_from_json("not json", &parsed, &err));
+  EXPECT_FALSE(repro_bundle_from_json("{}", &parsed, &err));
+  EXPECT_FALSE(repro_bundle_from_json("not json", &parsed, &err));
 }
 
-TEST(FleetBundle, FileRoundTripAndPath) {
+TEST(FleetRepro, FileRoundTripAndPath) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "mpdash_fleet_bundle_test")
           .string();
   std::filesystem::remove_all(dir);
-  const FleetBundle b = sample_fleet_bundle();
-  const std::string path = fleet_bundle_path(dir, b.seed);
+  const ReproBundle b = sample_fleet_bundle();
+  const std::string path = repro_bundle_path(dir, b.seed, /*fleet=*/true);
   EXPECT_NE(path.find("fleet_repro_33.json"), std::string::npos);
   std::string err;
-  ASSERT_TRUE(write_fleet_bundle(b, path, &err)) << err;
-  FleetBundle loaded;
-  ASSERT_TRUE(load_fleet_bundle(path, &loaded, &err)) << err;
-  EXPECT_EQ(fleet_bundle_to_json(loaded), fleet_bundle_to_json(b));
+  ASSERT_TRUE(write_repro_bundle(b, path, &err)) << err;
+  ReproBundle loaded;
+  ASSERT_TRUE(load_repro_bundle(path, &loaded, &err)) << err;
+  EXPECT_EQ(repro_bundle_to_json(loaded), repro_bundle_to_json(b));
   std::filesystem::remove_all(dir);
 }
 
-TEST(FleetBundle, ReplayReproducesTheRecordedRun) {
+TEST(FleetRepro, ReplayReproducesTheRecordedRun) {
   // Record a real run (whatever its outcome), snapshot it as a bundle,
   // and check the replay path reports a match against itself.
   FaultEvent e;
@@ -245,24 +247,89 @@ TEST(FleetBundle, ReplayReproducesTheRecordedRun) {
   FaultPlan plan;
   plan.events.push_back(e);
 
-  FleetBundle b;
+  ReproBundle b;
   b.seed = 13;
-  b.config = small_fleet(2, 8);
-  b.config.seed = 13;
+  b.fleet = small_fleet(2, 8);
+  b.fleet->seed = 13;
   b.plan = plan;
-  b.config.faults = nullptr;  // the bundle's plan is authoritative
+  b.fleet->faults = nullptr;  // the bundle's plan is authoritative
 
-  FleetConfig probe = b.config;
+  FleetConfig probe = *b.fleet;
   probe.faults = &plan;
   const FleetResult run = run_fleet(probe);
   b.outcome = run.outcome;
   b.hung_reason = run.hung_reason;
   b.expected_violations = run.violations;
 
-  const FleetReplayResult replay = replay_fleet_bundle(b);
+  const ReplayResult replay = replay_repro_bundle(b);
   EXPECT_TRUE(replay.matches)
       << (replay.mismatches.empty() ? "" : replay.mismatches.front());
-  EXPECT_EQ(replay.run.fingerprint(), run.fingerprint());
+  EXPECT_EQ(replay.fingerprint, run.fingerprint());
+}
+
+// A two-tenant fleet, recovery off, whose only real fault is a WiFi
+// blackout outlasting the 40 s fleet time limit; the other five events are
+// short, benign noise the shrinker must discard. (The same plan as the
+// committed CLI fixture tests/data/fleet_repro_noisy.json.)
+ReproBundle noisy_fleet_bundle() {
+  auto event = [](FaultKind kind, double at_s, double dur_s, int path,
+                  double value) {
+    FaultEvent e;
+    e.kind = kind;
+    e.at = kTimeZero + seconds(at_s);
+    e.duration = seconds(dur_s);
+    e.path_id = path;
+    e.value = value;
+    return e;
+  };
+  ReproBundle b;
+  b.seed = 5;
+  b.fleet = small_fleet(2, 6);
+  b.fleet->time_limit = seconds(40.0);
+  SessionSpec no_recovery;
+  no_recovery.recovery = false;
+  b.fleet->mix = {no_recovery};
+  b.plan.events = {
+      event(FaultKind::kRttSpike, 1.0, 0.5, 0, 10.0),
+      event(FaultKind::kFlap, 2.0, 1.0, 1, 0.2),
+      event(FaultKind::kBlackout, 3.0, 60.0, 0, 0.0),
+      event(FaultKind::kLossBurst, 8.0, 0.5, 0, 0.0),
+      event(FaultKind::kRateCollapse, 10.0, 1.0, 1, 0.8),
+      event(FaultKind::kRttSpike, 12.0, 0.5, 1, 20.0),
+  };
+  b.plan.events[3].ge = {0.05, 0.5, 0.0, 0.1};
+  return b;
+}
+
+TEST(FleetRepro, ShrinkMinimizesNoisyPlanToTheBlackout) {
+  const ReproBundle bundle = noisy_fleet_bundle();
+  auto shrink_at = [&bundle](int jobs) {
+    ShrinkConfig cfg;
+    cfg.jobs = jobs;
+    return shrink_repro_bundle(bundle, cfg);
+  };
+  const ShrinkResult serial = shrink_at(1);
+  const ShrinkResult parallel = shrink_at(4);
+
+  ASSERT_TRUE(serial.reproduced);
+  EXPECT_EQ(serial.initial_events, 6);
+  EXPECT_EQ(serial.final_events, 1);
+  ASSERT_EQ(serial.minimized.plan.events.size(), 1u);
+  EXPECT_EQ(serial.minimized.plan.events[0].kind, FaultKind::kBlackout);
+  // Still a fleet bundle, and the horizon ladder shortened the fleet's
+  // own time limit.
+  ASSERT_TRUE(serial.minimized.fleet.has_value());
+  EXPECT_LT(serial.minimized.fleet->time_limit, seconds(40.0));
+
+  // Bitwise identical minimized bundle and step log for any --jobs.
+  EXPECT_EQ(repro_bundle_to_json(serial.minimized),
+            repro_bundle_to_json(parallel.minimized));
+  EXPECT_EQ(serial.log, parallel.log);
+
+  // The rewritten expectations replay bitwise.
+  const ReplayResult replay = replay_repro_bundle(serial.minimized);
+  EXPECT_TRUE(replay.matches)
+      << (replay.mismatches.empty() ? "" : replay.mismatches.front());
 }
 
 }  // namespace

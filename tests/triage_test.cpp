@@ -240,6 +240,18 @@ TEST(ReproBundleJson, RejectsWrongKindAndSchema) {
   EXPECT_NE(err.find("schema"), std::string::npos);
 }
 
+TEST(ReproBundleJson, RejectsUnknownKind) {
+  // The loader dispatches on "kind": a marker it does not know is its own
+  // typed error, not a session or fleet parse failure.
+  std::string text = repro_bundle_to_json(sample_bundle());
+  const std::string needle = "\"mpdash-repro\"";
+  text.replace(text.find(needle), needle.size(), "\"mpdash-bogus-repro\"");
+  ReproBundle parsed;
+  std::string err;
+  EXPECT_FALSE(repro_bundle_from_json(text, &parsed, &err));
+  EXPECT_EQ(err, "bundle: missing or wrong \"kind\" marker");
+}
+
 // A hand-built plan that deterministically violates: the origin holds
 // every response for most of a session too short to finish afterwards,
 // with recovery off so nothing times the requests out.
@@ -274,7 +286,7 @@ TEST(Repro, DeterministicViolationReplaysBitwise) {
                                      : first.mismatches[0]);
   const ReplayResult second = replay_repro_bundle(b);
   EXPECT_TRUE(second.matches);
-  EXPECT_EQ(first.run.fingerprint(), second.run.fingerprint());
+  EXPECT_EQ(first.fingerprint, second.fingerprint);
 }
 
 TEST(Repro, CampaignEmitsLoadableBundlesForNonOkRuns) {
@@ -376,6 +388,12 @@ TEST(Signature, CanonicalKindsDropRunSpecificDetail) {
             "span reopened");
   EXPECT_EQ(violation_kind("something entirely new"),
             "something entirely new");
+  // Fleet tenants keep their index; the rest canonicalizes as usual.
+  EXPECT_EQ(violation_kind("session 12: chunk accounting: delivered 5 + "
+                           "abandoned 0 != 6"),
+            "session 12: chunk accounting");
+  EXPECT_EQ(violation_kind("session hung: time limit reached"),
+            "session hung");
 
   // Signature: outcome + sorted unique kinds; counts don't matter.
   const std::vector<std::string> a = {

@@ -11,6 +11,7 @@
 //   mpdash_sim sweep --algo bba --jobs 8      # parallel field-study campaign
 //   mpdash_sim chaos --seed-count 50 --jobs 8 # fault-plan invariant sweep
 //   mpdash_sim fleet --sessions 16 --seed 7   # N tenants, shared bottleneck
+//   mpdash_sim repro bundles/fleet_repro_7.json  # replay a chaos/fleet bundle
 
 #include <algorithm>
 #include <cstdio>
@@ -42,7 +43,7 @@ namespace {
 
 struct Args {
   std::string command;
-  std::string input;  // positional: repro/shrink/fleet bundle path
+  std::string input;  // positional: repro/shrink bundle path
   std::string scheme = "mpdash-rate";
   std::string algo = "festive";
   std::string video = "bbb";
@@ -163,13 +164,13 @@ const CommandSpec kCommands[] = {
      "  --chaos   seeded random fault plan per seed on the shared links\n"
      "  --csv <path>   per-session rows, bitwise identical for any --jobs\n"
      "  --bundle-dir <dir>   write fleet_repro_<seed>.json for non-ok runs\n"
-     "  --keep-going   exit 0 even when runs report violations\n"
-     "  fleet <bundle.json>   replay a fleet repro bundle instead\n",
+     "  --keep-going   exit 0 even when runs report violations\n",
      cmd_fleet},
-    {"repro", "replay a chaos repro bundle and verify the failure reproduces",
+    {"repro",
+     "replay a chaos or fleet repro bundle and verify the failure reproduces",
      "  repro <bundle.json>\n",
      cmd_repro},
-    {"shrink", "ddmin-minimize a repro bundle's fault plan",
+    {"shrink", "ddmin-minimize a chaos or fleet repro bundle's fault plan",
      "  shrink <bundle.json>   (writes <bundle>.min.json + .log)\n"
      "  --out <path>   minimized bundle destination\n"
      "  --strict       oracle matches exact violation strings\n"
@@ -265,9 +266,12 @@ Args parse(int argc, char** argv) {
     else if (flag == "--discipline") a.discipline = value();
     else if (flag == "--mix") a.mix = value();
     else if (flag == "--chaos") a.chaos = true;
-    else if (!flag.empty() && flag[0] != '-' && a.input.empty())
+    else if (flag.empty() || flag[0] == '-')
+      usage(("unknown flag " + flag).c_str());
+    else if (a.input.empty() &&
+             (spec->handler == cmd_repro || spec->handler == cmd_shrink))
       a.input = flag;
-    else usage(("unknown flag " + flag).c_str());
+    else usage(("unexpected argument " + flag).c_str());
   }
   return a;
 }
@@ -613,6 +617,34 @@ int cmd_sweep(const Args& a) {
   return 0;
 }
 
+// The tail `chaos` and `fleet` share: every non-ok run's reasons on
+// stderr, the outcome tally, the bundle note, and the exit gate CI keys
+// off — any violation, hang, or crash fails; --keep-going demotes them to
+// report-only.
+template <typename Run>
+int finish_campaign(const Args& a, const CampaignRuns<Run>& res,
+                    const char* bundles) {
+  for (const Run& r : res.runs) {
+    if (!r.hung_reason.empty()) {
+      std::fprintf(stderr, "seed %llu: %s\n",
+                   static_cast<unsigned long long>(r.seed),
+                   r.hung_reason.c_str());
+    }
+    for (const std::string& v : r.violations) {
+      std::fprintf(stderr, "seed %llu: %s\n",
+                   static_cast<unsigned long long>(r.seed), v.c_str());
+    }
+  }
+  const OutcomeCounts oc = res.outcome_counts();
+  std::printf("outcomes: %d ok, %d violation, %d hung, %d crashed\n", oc.ok,
+              oc.violation, oc.hung, oc.crashed);
+  if (!a.bundle_dir.empty() && oc.bad() > 0) {
+    std::printf("%s for %d non-ok run%s written to %s\n", bundles, oc.bad(),
+                oc.bad() == 1 ? "" : "s", a.bundle_dir.c_str());
+  }
+  return a.keep_going ? 0 : (oc.bad() == 0 ? 0 : 1);
+}
+
 // Chaos campaign: N seeded random fault plans through the full stack with
 // recovery on, invariants audited per run. Exit status is the gate CI
 // uses: 0 only when every invariant held on every seed.
@@ -651,26 +683,12 @@ int cmd_chaos(const Args& a) {
                    std::to_string(r.violations.size())});
   }
   std::printf("%s", table.render().c_str());
-  for (const ChaosRunResult& r : res.runs) {
-    if (!r.hung_reason.empty()) {
-      std::fprintf(stderr, "seed %llu: %s\n",
-                   static_cast<unsigned long long>(r.seed),
-                   r.hung_reason.c_str());
-    }
-    for (const std::string& v : r.violations) {
-      std::fprintf(stderr, "seed %llu: %s\n",
-                   static_cast<unsigned long long>(r.seed), v.c_str());
-    }
-  }
   const int violations = res.violation_count();
-  const OutcomeCounts oc = res.outcome_counts();
   std::printf("chaos: %d seeds on %d workers, %.2fs wall, recovery %s, "
               "%d invariant violation%s\n",
               res.stats.runs, res.stats.jobs, res.stats.wall_s,
               a.recovery ? "on" : "OFF", violations,
               violations == 1 ? "" : "s");
-  std::printf("outcomes: %d ok, %d violation, %d hung, %d crashed\n", oc.ok,
-              oc.violation, oc.hung, oc.crashed);
   if (!a.csv_path.empty()) {
     CsvWriter csv({"seed", "outcome", "completed", "chunks", "abandoned",
                    "retries", "stalls", "subflow_failures", "reinjected",
@@ -732,13 +750,7 @@ int cmd_chaos(const Args& a) {
     std::printf("per-run traces written to %s%s\n", a.trace_path.c_str(),
                 cfg.seed_count > 1 ? ".<seed>" : "");
   }
-  if (!a.bundle_dir.empty() && oc.bad() > 0) {
-    std::printf("repro bundles for %d non-ok run%s written to %s\n", oc.bad(),
-                oc.bad() == 1 ? "" : "s", a.bundle_dir.c_str());
-  }
-  // The exit gate CI keys off: any violation, hang, or crash is a
-  // failure; --keep-going demotes them to report-only.
-  return a.keep_going ? 0 : (oc.bad() == 0 ? 0 : 1);
+  return finish_campaign(a, res, "repro bundles");
 }
 
 // Parses the --mix list: comma-separated scheme[:algo] entries, cycled
@@ -772,43 +784,10 @@ std::vector<SessionSpec> parse_mix(const Args& a) {
   return mix;
 }
 
-int replay_fleet(const Args& a) {
-  FleetBundle bundle;
-  std::string err;
-  if (!load_fleet_bundle(a.input, &bundle, &err)) {
-    usage(("cannot load fleet bundle " + a.input + ": " + err).c_str());
-  }
-  std::printf("fleet repro: %s\n", a.input.c_str());
-  std::printf("  seed %llu, %d sessions, %d chunks, discipline %s\n",
-              static_cast<unsigned long long>(bundle.seed),
-              bundle.config.sessions, bundle.config.chunk_count,
-              to_string(bundle.config.discipline));
-  std::printf("  fault plan (%zu events), expected outcome %s, "
-              "%zu violation%s\n",
-              bundle.plan.events.size(), to_string(bundle.outcome),
-              bundle.expected_violations.size(),
-              bundle.expected_violations.size() == 1 ? "" : "s");
-  const FleetReplayResult replay = replay_fleet_bundle(bundle);
-  std::printf("  replayed outcome %s, %zu violation%s\n",
-              to_string(replay.run.outcome), replay.run.violations.size(),
-              replay.run.violations.size() == 1 ? "" : "s");
-  if (replay.matches) {
-    std::printf("fleet repro: reproduced\n");
-    return 0;
-  }
-  for (const std::string& m : replay.mismatches) {
-    std::fprintf(stderr, "mismatch: %s\n", m.c_str());
-  }
-  std::fprintf(stderr, "fleet repro: did NOT reproduce\n");
-  return 1;
-}
-
 // Fleet workload: per seed, N tenants share one WiFi+LTE bottleneck pair
 // on a single event loop; seeds fan out over the campaign runner. The
 // per-session CSV lands in (seed, session) order for any --jobs count.
 int cmd_fleet(const Args& a) {
-  if (!a.input.empty()) return replay_fleet(a);
-
   FleetCampaignConfig cfg;
   cfg.fleet.sessions = std::max(1, a.sessions);
   if (a.chunks > 0) cfg.fleet.chunk_count = a.chunks;
@@ -844,42 +823,24 @@ int cmd_fleet(const Args& a) {
                    std::to_string(r.violations.size())});
   }
   std::printf("%s", table.render().c_str());
-  for (const FleetResult& r : res.runs) {
-    if (!r.hung_reason.empty()) {
-      std::fprintf(stderr, "seed %llu: %s\n",
-                   static_cast<unsigned long long>(r.seed),
-                   r.hung_reason.c_str());
-    }
-    for (const std::string& v : r.violations) {
-      std::fprintf(stderr, "seed %llu: %s\n",
-                   static_cast<unsigned long long>(r.seed), v.c_str());
-    }
-  }
-  const OutcomeCounts oc = res.outcome_counts();
   std::printf("fleet: %d seeds x %d sessions (%s) on %d workers, %.2fs "
               "wall, chaos %s\n",
               res.stats.runs, cfg.fleet.sessions,
               to_string(cfg.fleet.discipline), res.stats.jobs,
               res.stats.wall_s, a.chaos ? "on" : "off");
-  std::printf("outcomes: %d ok, %d violation, %d hung, %d crashed\n", oc.ok,
-              oc.violation, oc.hung, oc.crashed);
   if (!a.csv_path.empty()) {
-    if (!write_text_file(a.csv_path, res.sessions_csv())) {
+    if (!write_text_file(a.csv_path, fleet_campaign_csv(res))) {
       std::fprintf(stderr, "cannot write %s\n", a.csv_path.c_str());
       return 1;
     }
     std::printf("per-session results written to %s\n", a.csv_path.c_str());
   }
-  if (!a.bundle_dir.empty() && oc.bad() > 0) {
-    std::printf("fleet repro bundles for %d non-ok run%s written to %s\n",
-                oc.bad(), oc.bad() == 1 ? "" : "s", a.bundle_dir.c_str());
-  }
-  return a.keep_going ? 0 : (oc.bad() == 0 ? 0 : 1);
+  return finish_campaign(a, res, "fleet repro bundles");
 }
 
-// Replays a repro bundle through the identical campaign code path and
-// verifies the stored failure reproduces bitwise (outcome + violation
-// strings). Exit 0 only on an exact match.
+// Replays a chaos or fleet repro bundle through the identical campaign
+// code path and verifies the stored failure reproduces bitwise (outcome +
+// violation strings). Exit 0 only on an exact match.
 int cmd_repro(const Args& a) {
   if (a.input.empty()) usage("repro needs a bundle path");
   ReproBundle bundle;
@@ -888,10 +849,17 @@ int cmd_repro(const Args& a) {
     usage(("cannot load bundle " + a.input + ": " + err).c_str());
   }
   std::printf("repro: %s\n", a.input.c_str());
-  std::printf("  seed %llu, scheme %s, %d chunks, recovery %s\n",
-              static_cast<unsigned long long>(bundle.seed),
-              to_string(bundle.spec.scheme), bundle.chunk_count,
-              bundle.spec.recovery ? "on" : "off");
+  if (bundle.fleet) {
+    std::printf("  seed %llu, fleet of %d sessions, %d chunks, discipline %s\n",
+                static_cast<unsigned long long>(bundle.seed),
+                bundle.fleet->sessions, bundle.fleet->chunk_count,
+                to_string(bundle.fleet->discipline));
+  } else {
+    std::printf("  seed %llu, scheme %s, %d chunks, recovery %s\n",
+                static_cast<unsigned long long>(bundle.seed),
+                to_string(bundle.spec.scheme), bundle.chunk_count,
+                bundle.spec.recovery ? "on" : "off");
+  }
   std::printf("  fault plan (%zu events):\n", bundle.plan.events.size());
   for (const FaultEvent& e : bundle.plan.events) {
     std::printf("    %s\n", describe(e).c_str());
