@@ -1,6 +1,5 @@
 #include "analysis/trace_load.h"
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <mutex>
@@ -8,6 +7,7 @@
 
 #include "dash/events.h"
 #include "fault/fault.h"
+#include "util/json.h"
 
 namespace mpdash {
 
@@ -61,135 +61,33 @@ const char* intern_trace_label(std::string_view label) {
   return pool->insert(std::string(label)).first->c_str();
 }
 
-namespace {
-
-// Minimal scanner for the flat JSON objects trace_record_to_json writes:
-// string, number, and boolean values only — no nesting, no arrays.
-struct Scanner {
-  std::string_view in;
-  std::size_t pos = 0;
-  std::string error;
-
-  bool fail(const std::string& msg) {
-    if (error.empty()) error = msg;
-    return false;
-  }
-  void skip_ws() {
-    while (pos < in.size() &&
-           (in[pos] == ' ' || in[pos] == '\t' || in[pos] == '\r')) {
-      ++pos;
-    }
-  }
-  bool expect(char c) {
-    skip_ws();
-    if (pos >= in.size() || in[pos] != c) {
-      return fail(std::string("expected '") + c + "'");
-    }
-    ++pos;
-    return true;
-  }
-  bool peek_is(char c) {
-    skip_ws();
-    return pos < in.size() && in[pos] == c;
-  }
-  bool parse_string(std::string* out) {
-    if (!expect('"')) return false;
-    out->clear();
-    while (pos < in.size() && in[pos] != '"') {
-      char c = in[pos++];
-      if (c == '\\') {
-        if (pos >= in.size()) return fail("dangling escape");
-        const char e = in[pos++];
-        switch (e) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          case 'b': c = '\b'; break;
-          case 'f': c = '\f'; break;
-          case 'n': c = '\n'; break;
-          case 'r': c = '\r'; break;
-          case 't': c = '\t'; break;
-          case 'u': {
-            if (pos + 4 > in.size()) return fail("short \\u escape");
-            unsigned code = 0;
-            const auto res = std::from_chars(in.data() + pos,
-                                             in.data() + pos + 4, code, 16);
-            if (res.ec != std::errc() || res.ptr != in.data() + pos + 4) {
-              return fail("bad \\u escape");
-            }
-            pos += 4;
-            // The writer only escapes control chars (< 0x20); anything
-            // else would be foreign input.
-            c = static_cast<char>(code);
-            break;
-          }
-          default: return fail("unknown escape");
-        }
-      }
-      out->push_back(c);
-    }
-    if (pos >= in.size()) return fail("unterminated string");
-    ++pos;  // closing quote
-    return true;
-  }
-  // Value as (number, is_bool) — strings handled separately by caller.
-  bool parse_number(double* out) {
-    skip_ws();
-    const char* begin = in.data() + pos;
-    const char* end = in.data() + in.size();
-    const auto res = std::from_chars(begin, end, *out);
-    if (res.ec != std::errc()) return fail("bad number");
-    pos = static_cast<std::size_t>(res.ptr - in.data());
-    return true;
-  }
-  bool parse_bool(bool* out) {
-    skip_ws();
-    if (in.compare(pos, 4, "true") == 0) {
-      *out = true;
-      pos += 4;
-      return true;
-    }
-    if (in.compare(pos, 5, "false") == 0) {
-      *out = false;
-      pos += 5;
-      return true;
-    }
-    return fail("bad boolean");
-  }
-};
-
-}  // namespace
-
 bool trace_record_from_json(std::string_view line, TraceRecord* out,
                             std::string* err) {
-  Scanner s{line, 0, {}};
-  auto fail = [&](const std::string& msg) {
-    if (err) *err = msg.empty() ? s.error : msg;
+  auto fail = [err](const std::string& msg) {
+    if (err) *err = msg;
     return false;
   };
+  JsonValue root;
+  std::string parse_err;
+  if (!json_parse(line, &root, &parse_err)) return fail(parse_err);
+  if (!root.is_object()) return fail("record is not an object");
 
   TraceRecord r;
   std::string type_name;
-  std::string dir, kind, label;
+  std::string kind, label;
   bool have_type = false, have_retx = false, retx = false;
   bool have_phase = false, phase_start = false;
 
-  if (!s.expect('{')) return fail("");
-  bool first = true;
-  while (!s.peek_is('}')) {
-    if (!first && !s.expect(',')) return fail("");
-    first = false;
-    std::string key;
-    if (!s.parse_string(&key)) return fail("");
-    if (!s.expect(':')) return fail("");
-    if (s.peek_is('"')) {
-      std::string val;
-      if (!s.parse_string(&val)) return fail("");
+  // trace_record_to_json writes flat objects of string, number and
+  // boolean values only.
+  for (const auto& [key, v] : root.members) {
+    if (v.is_string()) {
+      const std::string& val = v.str;
       if (key == "type") {
         type_name = val;
         have_type = true;
       } else if (key == "dir") {
-        dir = val;  // derived from link id; checked nowhere
+        // derived from the link id; checked nowhere
       } else if (key == "kind") {
         kind = val;
       } else if (key == "phase") {
@@ -203,21 +101,19 @@ bool trace_record_from_json(std::string_view line, TraceRecord* out,
       }
       continue;
     }
-    if (s.peek_is('t') || s.peek_is('f')) {
-      bool val = false;
-      if (!s.parse_bool(&val)) return fail("");
+    if (v.is_bool()) {
       if (key == "retx") {
         have_retx = true;
-        retx = val;
+        retx = v.boolean;
       } else if (key == "enabled") {
-        r.enabled = val;
+        r.enabled = v.boolean;
       } else {
         return fail("unknown boolean key '" + key + "'");
       }
       continue;
     }
-    double num = 0.0;
-    if (!s.parse_number(&num)) return fail("");
+    if (!v.is_number()) return fail("bad value for key '" + key + "'");
+    const double num = v.as_double();
     if (key == "t") {
       // to_seconds() divides the integer nanosecond count by 1e9; with
       // shortest-round-trip doubles the rescale is exact for any
@@ -261,7 +157,6 @@ bool trace_record_from_json(std::string_view line, TraceRecord* out,
       return fail("unknown numeric key '" + key + "'");
     }
   }
-  if (!s.expect('}')) return fail("");
 
   if (!have_type) return fail("record has no type");
   bool matched = false;

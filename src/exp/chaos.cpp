@@ -6,6 +6,7 @@
 #include <iterator>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <utility>
 
 #include "exp/repro.h"
@@ -79,7 +80,7 @@ std::string ChaosRunResult::fingerprint() const {
       "stalls=%d sf=%d rev=%d reinj=%d to=%d rt=%d faults=%d skip=%d "
       "viol=%zu",
       static_cast<unsigned long long>(seed), to_string(outcome),
-      completed ? 1 : 0, session_s, chunks_delivered, chunks_abandoned,
+      completed ? 1 : 0, session_s, chunks, chunks_abandoned,
       chunk_retries, stalls, subflow_failures, subflow_revivals,
       reinjected_packets, http_timeouts, http_retries, faults_started,
       faults_skipped, violations.size());
@@ -239,6 +240,20 @@ ChaosRunResult run_chaos_single(const ChaosConfig& cfg, const Video& video,
     scfg.metrics_interval = cfg.series_interval;
   }
 
+  // Per-run trace capture: sinks attach to the run-private telemetry, so
+  // any --jobs interleaving writes each file from exactly one thread.
+  std::unique_ptr<JsonlSink> jsonl;
+  std::unique_ptr<TypeFilterSink> filter;
+  if (!cfg.trace_path.empty()) {
+    std::string path = cfg.trace_path;
+    if (cfg.seed_count > 1) path += "." + std::to_string(seed);
+    jsonl = std::make_unique<JsonlSink>(path);
+    if (!jsonl->ok()) throw std::runtime_error("cannot write " + path);
+    if (cfg.trace_types != ~0u) {
+      filter = std::make_unique<TypeFilterSink>(jsonl.get(), cfg.trace_types);
+    }
+  }
+
   // Always-on request-lifecycle capture for the pipelined audit. Sinks are
   // pure observers, so attaching one never perturbs the simulation or the
   // campaign digest. Attribution mode widens the mask to everything the
@@ -252,30 +267,17 @@ ChaosRunResult run_chaos_single(const ChaosConfig& cfg, const Video& video,
   TraceCollector pipeline_capture;
   TypeFilterSink pipeline_filter(&pipeline_capture, capture_mask);
   telemetry.add_sink(&pipeline_filter);
-
-  // Per-run trace capture: sinks attach to the run-private telemetry, so
-  // any --jobs interleaving writes each file from exactly one thread.
-  std::unique_ptr<JsonlSink> jsonl;
-  std::unique_ptr<TypeFilterSink> filter;
-  if (!cfg.trace_path.empty()) {
-    std::string path = cfg.trace_path;
-    if (cfg.seed_count > 1) path += "." + std::to_string(seed);
-    jsonl = std::make_unique<JsonlSink>(path);
-    if (cfg.trace_types != ~0u) {
-      filter = std::make_unique<TypeFilterSink>(jsonl.get(), cfg.trace_types);
-      telemetry.add_sink(filter.get());
-    } else {
-      telemetry.add_sink(jsonl.get());
-    }
-  }
+  TraceSink* trace_sink = filter ? static_cast<TraceSink*>(filter.get())
+                                 : jsonl.get();
+  if (trace_sink) telemetry.add_sink(trace_sink);
 
   if (cfg.pre_session_hook) cfg.pre_session_hook(scenario.loop(), seed);
 
   ChaosRunResult out;
   out.seed = seed;
-  SessionResult res;
   try {
-    res = run_streaming_session(scenario, video, scfg, env);
+    static_cast<SessionResult&>(out) =
+        run_streaming_session(scenario, video, scfg, env);
   } catch (const WatchdogTripped& e) {
     // Quarantine: the simulation was killed mid-run, so there is no
     // SessionResult to audit — report the outcome and keep the campaign
@@ -285,36 +287,18 @@ ChaosRunResult run_chaos_single(const ChaosConfig& cfg, const Video& video,
   }
 
   telemetry.remove_sink(&pipeline_filter);
-  if (filter) {
-    telemetry.remove_sink(filter.get());
-  } else if (jsonl) {
-    telemetry.remove_sink(jsonl.get());
-  }
+  if (trace_sink) telemetry.remove_sink(trace_sink);
 
   if (out.outcome == RunOutcome::kHung) return out;
 
-  out.completed = res.completed;
-  out.session_s = res.session_s;
-  out.chunks_delivered = res.chunks;
-  out.chunks_abandoned = res.chunks_abandoned;
-  out.chunk_retries = res.chunk_retries;
-  out.stalls = res.stalls;
-  out.subflow_failures = res.subflow_failures;
-  out.subflow_revivals = res.subflow_revivals;
-  out.reinjected_packets = res.reinjected_packets;
-  out.http_timeouts = res.http_timeouts;
-  out.http_retries = res.http_retries;
-  out.faults_started = res.faults_started;
-  out.faults_skipped = res.faults_skipped;
-  out.manifest_failed = res.manifest_failed;
-  out.violations = check_chaos_invariants(res, video.chunk_count());
-  {
-    std::vector<std::string> pv = check_pipeline_invariants(
-        pipeline_capture.records(), scfg.http_recovery.max_retries);
+  auto add_violations = [&out](std::vector<std::string> more) {
     out.violations.insert(out.violations.end(),
-                          std::make_move_iterator(pv.begin()),
-                          std::make_move_iterator(pv.end()));
-  }
+                          std::make_move_iterator(more.begin()),
+                          std::make_move_iterator(more.end()));
+  };
+  out.violations = check_chaos_invariants(out, video.chunk_count());
+  add_violations(check_pipeline_invariants(pipeline_capture.records(),
+                                 scfg.http_recovery.max_retries));
   if (cfg.series_interval > kDurationZero) {
     out.series_csv = qoe_series_csv(timeline, seed);
   }
@@ -325,13 +309,7 @@ ChaosRunResult run_chaos_single(const ChaosConfig& cfg, const Video& video,
     out.has_attribution = true;
   }
 
-  {
-    std::vector<std::string> cv =
-        check_counter_invariants(telemetry.metrics(), res);
-    out.violations.insert(out.violations.end(),
-                          std::make_move_iterator(cv.begin()),
-                          std::make_move_iterator(cv.end()));
-  }
+  add_violations(check_counter_invariants(telemetry.metrics(), out));
   out.outcome = out.violations.empty() ? RunOutcome::kOk
                                        : RunOutcome::kViolation;
   return out;

@@ -146,22 +146,9 @@ struct ChaosConfig {
   std::function<void(EventLoop&, std::uint64_t)> pre_session_hook;
 };
 
-// A kHung run carries no session counters (it was aborted mid-sim).
-struct ChaosRunResult : RunVerdict {
-  bool completed = false;
-  double session_s = 0.0;
-  int chunks_delivered = 0;
-  int chunks_abandoned = 0;
-  int chunk_retries = 0;
-  int stalls = 0;
-  int subflow_failures = 0;
-  int subflow_revivals = 0;
-  int reinjected_packets = 0;
-  int http_timeouts = 0;
-  int http_retries = 0;
-  int faults_started = 0;
-  int faults_skipped = 0;
-  bool manifest_failed = false;
+// The run's verdict plus the session it observed. A kHung run carries no
+// session counters (it was aborted mid-sim); a crashed one none either.
+struct ChaosRunResult : RunVerdict, SessionResult {
   // Per-run QoE/byte-share time series (kChaosSeriesHeader rows, no
   // header); empty unless ChaosConfig::series_interval > 0.
   std::string series_csv;
@@ -207,7 +194,9 @@ Video chaos_video(const ChaosConfig& cfg);
 
 // The exact campaign run body for one seed with an explicit fault plan:
 // scenario/session from (cfg, seed), watchdog armed, invariants audited,
-// outcome assigned. Writes no files besides the cfg.trace_path capture.
+// outcome assigned. Writes no files besides the cfg.trace_path capture,
+// and throws when that file cannot be written (the campaign folds the
+// throw into kCrashed).
 // Exposed so `mpdash_sim repro` and the shrinker replay a bundle's stored
 // plan through the identical code path the campaign ran — same seeds,
 // same audits, same strings.

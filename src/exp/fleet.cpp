@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <deque>
 #include <iterator>
-#include <memory>
 #include <utility>
 
-#include "core/policy.h"
-#include "dash/server.h"
 #include "exp/repro.h"
 #include "fault/injector.h"
 
@@ -15,26 +13,21 @@ namespace mpdash {
 
 namespace {
 
-// One tenant: shared-link facades (flow = session index) plus the full
-// per-session stack and a private telemetry context for the counter audit.
-struct Tenant {
-  std::uint64_t seed = 0;
-  SessionSpec spec;
-  SessionConfig config;
-  Telemetry telemetry;
-  NetPath wifi;
-  NetPath lte;
-  std::unique_ptr<StreamingSession> session;
-  TimePoint join{};
-  bool done = false;
-  TimePoint finish{};
-
-  Tenant(const PathDescription& wifi_desc, const PathDescription& lte_desc,
-         Link& wifi_down, Link& wifi_up, Link& lte_down, Link& lte_up,
-         int flow)
-      : wifi(wifi_desc, wifi_down, wifi_up, flow),
-        lte(lte_desc, lte_down, lte_up, flow) {}
-};
+// The shared bottleneck pair as a Scenario: one WiFi AP and one cellular
+// carrier, each a down/up link pair every tenant contends on. Loss streams
+// derive from the fleet seed exactly as a chaos run's do.
+ScenarioConfig fleet_scenario_config(const FleetConfig& cfg) {
+  ScenarioConfig net = constant_scenario(DataRate::mbps(cfg.wifi_mbps),
+                                         DataRate::mbps(cfg.lte_mbps));
+  net.wifi_up = DataRate::mbps(cfg.wifi_up_mbps);
+  net.lte_up = DataRate::mbps(cfg.lte_up_mbps);
+  net.wifi_rtt = cfg.wifi_rtt;
+  net.lte_rtt = cfg.lte_rtt;
+  net.queue_capacity = cfg.queue_capacity;
+  net.discipline = cfg.discipline;
+  net.seed = derive_stream_seed(cfg.seed, "links");
+  return net;
+}
 
 }  // namespace
 
@@ -84,123 +77,42 @@ FleetResult run_fleet(const FleetConfig& cfg, Telemetry* telemetry) {
   out.seed = cfg.seed;
   const int n = std::max(1, cfg.sessions);
 
-  EventLoop loop;
-  if (telemetry) loop.set_telemetry(telemetry);
-
-  // Shared bottlenecks: one WiFi AP and one cellular carrier, each a
-  // down/up link pair every tenant contends on. Loss streams derive from
-  // the fleet seed exactly as a Scenario's do (per-link private RNGs).
-  const std::uint64_t net_seed = derive_stream_seed(cfg.seed, "links");
-  auto make_link = [&](int id, const char* name, double mbps,
-                       Duration rtt, std::uint64_t loss_seed) {
-    LinkConfig lc;
-    lc.id = id;
-    lc.name = name;
-    lc.rate = BandwidthTrace::constant(DataRate::mbps(mbps));
-    lc.propagation_delay = rtt / 2;
-    lc.queue_capacity = cfg.queue_capacity;
-    lc.loss_seed = loss_seed;
-    lc.discipline = cfg.discipline;
-    lc.fq_quantum = cfg.fq_quantum;
-    return std::make_unique<Link>(loop, lc);
-  };
-  const std::uint64_t wifi_seed = derive_stream_seed(net_seed, "wifi");
-  const std::uint64_t lte_seed = derive_stream_seed(net_seed, "lte");
-  auto wifi_down = make_link(2 * kWifiPathId, "wifi.down", cfg.wifi_mbps,
-                             cfg.wifi_rtt,
-                             derive_stream_seed(wifi_seed, ".down"));
-  auto wifi_up = make_link(2 * kWifiPathId + 1, "wifi.up", cfg.wifi_up_mbps,
-                           cfg.wifi_rtt,
-                           derive_stream_seed(wifi_seed, ".up"));
-  auto lte_down = make_link(2 * kCellularPathId, "lte.down", cfg.lte_mbps,
-                            cfg.lte_rtt,
-                            derive_stream_seed(lte_seed, ".down"));
-  auto lte_up = make_link(2 * kCellularPathId + 1, "lte.up", cfg.lte_up_mbps,
-                          cfg.lte_rtt, derive_stream_seed(lte_seed, ".up"));
-  if (telemetry) {
-    wifi_down->set_telemetry(telemetry);
-    wifi_up->set_telemetry(telemetry);
-    lte_down->set_telemetry(telemetry);
-    lte_up->set_telemetry(telemetry);
-  }
-
-  PathDescription wifi_desc;
-  wifi_desc.id = kWifiPathId;
-  wifi_desc.name = "wifi";
-  wifi_desc.kind = InterfaceKind::kWifi;
-  wifi_desc.metered = false;
-  PathDescription lte_desc;
-  lte_desc.id = kCellularPathId;
-  lte_desc.name = "lte";
-  lte_desc.kind = InterfaceKind::kCellular;
-  lte_desc.metered = true;
-  std::vector<PathDescription> descs{wifi_desc, lte_desc};
-  prefer_wifi_policy().apply(descs);
-  wifi_desc = descs[0];
-  lte_desc = descs[1];
-
+  Scenario net(fleet_scenario_config(cfg));
+  if (telemetry) net.set_telemetry(telemetry);
   const Video video = synthetic_video("fleet", cfg.chunk_count);
 
-  // Tenants construct in session order — part of the determinism contract
-  // (event ids derive from scheduling order).
-  std::vector<std::unique_ptr<Tenant>> tenants;
-  tenants.reserve(static_cast<std::size_t>(n));
-  int done_count = 0;
+  // Tenant i: flow-i facades onto the shared links, its mix spec resolved
+  // with its derived seed, a private telemetry context for the counter
+  // audit, and a join at i × join_stagger.
+  std::vector<FleetSessionResult> rows(static_cast<std::size_t>(n));
+  std::deque<NetPath> facades;
+  std::deque<Telemetry> telemetries(rows.size());
+  std::vector<Tenant> tenants(rows.size());
+  const SessionSpec default_spec;
   for (int i = 0; i < n; ++i) {
-    auto t = std::make_unique<Tenant>(wifi_desc, lte_desc, *wifi_down,
-                                      *wifi_up, *lte_down, *lte_up, i);
-    t->seed = derive_stream_seed(cfg.seed, "session/" + std::to_string(i));
-    t->spec = cfg.mix.empty()
-                  ? SessionSpec{}
-                  : cfg.mix[static_cast<std::size_t>(i) % cfg.mix.size()];
-    t->config = resolve_session_config(t->spec, t->seed);
-    // The fleet watchdog and time limit govern; per-tenant budgets are
-    // meaningless on a shared loop.
-    t->config.watchdog = WatchdogConfig{};
-    SessionEnv env;
-    env.telemetry = &t->telemetry;
-    std::vector<NetPath*> paths{&t->wifi, &t->lte};
-    t->session = std::make_unique<StreamingSession>(loop, paths, video,
-                                                    t->config, env);
-    Tenant* raw = t.get();
-    t->session->set_done_callback([raw, &loop, &done_count] {
-      raw->done = true;
-      raw->finish = loop.now();
-      ++done_count;
-    });
-    t->join = TimePoint(cfg.join_stagger * i);
-    tenants.push_back(std::move(t));
+    const auto k = static_cast<std::size_t>(i);
+    const SessionSpec& spec =
+        cfg.mix.empty() ? default_spec : cfg.mix[k % cfg.mix.size()];
+    FleetSessionResult& sr = rows[k];
+    sr.session = i;
+    sr.seed = derive_stream_seed(cfg.seed, "session/" + std::to_string(i));
+    sr.scheme = spec.scheme;
+    sr.adaptation = spec.adaptation;
+    Tenant& t = tenants[k];
+    for (NetPath* shared : net.paths()) {
+      t.paths.push_back(&facades.emplace_back(
+          shared->description(), shared->downlink(), shared->uplink(), i));
+    }
+    t.config = resolve_session_config(spec, sr.seed);
+    t.telemetry = &telemetries[k];
+    t.join = TimePoint(cfg.join_stagger * i);
+    sr.join_s = to_seconds(t.join);
   }
-
-  // One fault plan against the *shared* links: attach tenant 0's facades
-  // (faults address path ids, and every facade fronts the same links), and
-  // stall/drop hooks fan out to every tenant's origin server.
-  std::unique_ptr<FaultInjector> injector;
-  if (cfg.faults != nullptr && !cfg.faults->empty()) {
-    injector = std::make_unique<FaultInjector>(loop, *cfg.faults);
-    injector->attach_path(&tenants[0]->wifi);
-    injector->attach_path(&tenants[0]->lte);
-    FaultInjector::ServerHooks hooks;
-    hooks.set_stalled = [&tenants](bool on) {
-      for (auto& t : tenants) t->session->dash_server().http().set_stalled(on);
-    };
-    hooks.set_dropping = [&tenants](bool on) {
-      for (auto& t : tenants) t->session->dash_server().http().set_dropping(on);
-    };
-    injector->set_server_hooks(std::move(hooks));
-    if (telemetry) injector->set_telemetry(telemetry);
-    injector->arm();
-  }
-
-  // Staggered joins, scheduled after construction in session order.
-  for (auto& t : tenants) {
-    StreamingSession* s = t->session.get();
-    loop.schedule_at(t->join, [s] { s->start(); });
-  }
+  Tenancy tenancy(net.loop(), video, std::move(tenants), cfg.faults,
+                  telemetry);
 
   try {
-    RunWatchdog watchdog(loop, cfg.watchdog);
-    loop.run_until(TimePoint(cfg.time_limit));
+    tenancy.run(cfg.time_limit, cfg.watchdog);
   } catch (const WatchdogTripped& e) {
     // Quarantine, chaos-style: the fleet was killed mid-sim, so there are
     // no per-tenant results to audit.
@@ -214,40 +126,25 @@ FleetResult run_fleet(const FleetConfig& cfg, Telemetry* telemetry) {
   std::vector<double> qoes;
   double rate_sum = 0.0, rate_sumsq = 0.0;
   TimePoint last_finish{};
-  for (int i = 0; i < n; ++i) {
-    Tenant& t = *tenants[static_cast<std::size_t>(i)];
-    FleetSessionResult sr;
-    sr.session = i;
-    sr.seed = t.seed;
-    sr.scheme = t.spec.scheme;
-    sr.adaptation = t.spec.adaptation;
-    sr.join_s = to_seconds(t.join);
-
-    SessionResult res = t.session->collect();
-    const TimePoint end = t.done ? t.finish : loop.now();
-    res.session_s = to_seconds(end - t.join);
-    res.wifi_bytes = t.wifi.delivered_wire_bytes();
-    res.cell_bytes = t.lte.delivered_wire_bytes();
-    const Bytes total = res.wifi_bytes + res.cell_bytes;
-    res.cell_fraction = total > 0 ? static_cast<double>(res.cell_bytes) /
-                                        static_cast<double>(total)
-                                  : 0.0;
-    if (t.done) {
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    FleetSessionResult& sr = rows[k];
+    SessionResult res = tenancy.collect(k);
+    if (res.completed) {
       ++out.completed;
-      last_finish = std::max(last_finish, t.finish);
+      last_finish = std::max(last_finish, tenancy.finish(k));
     }
 
     sr.qoe = res.steady_avg_bitrate_mbps - kFleetStallPenalty * res.stall_s;
     sr.violations = check_chaos_invariants(res, cfg.chunk_count);
     {
       std::vector<std::string> cv =
-          check_counter_invariants(t.telemetry.metrics(), res);
+          check_counter_invariants(telemetries[k].metrics(), res);
       sr.violations.insert(sr.violations.end(),
                            std::make_move_iterator(cv.begin()),
                            std::make_move_iterator(cv.end()));
     }
     for (const std::string& v : sr.violations) {
-      out.violations.push_back("session " + std::to_string(i) + ": " + v);
+      out.violations.push_back("session " + std::to_string(k) + ": " + v);
     }
 
     qoe_sum += sr.qoe;
@@ -256,11 +153,11 @@ FleetResult run_fleet(const FleetConfig& cfg, Telemetry* telemetry) {
     rate_sumsq +=
         res.steady_avg_bitrate_mbps * res.steady_avg_bitrate_mbps;
     sr.result = std::move(res);
-    out.sessions.push_back(std::move(sr));
   }
+  out.sessions = std::move(rows);
 
   // --- fleet-level audit and aggregates --------------------------------
-  if (injector) {
+  if (const FaultInjector* injector = tenancy.faults()) {
     out.faults_started = injector->faults_started();
     out.faults_skipped = injector->faults_skipped();
     if (!injector->quiescent()) {
@@ -281,9 +178,8 @@ FleetResult run_fleet(const FleetConfig& cfg, Telemetry* telemetry) {
       rate_sumsq > 0.0
           ? (rate_sum * rate_sum) / (static_cast<double>(n) * rate_sumsq)
           : 1.0;
-  out.wifi_bytes =
-      wifi_down->delivered_bytes() + wifi_up->delivered_bytes();
-  out.cell_bytes = lte_down->delivered_bytes() + lte_up->delivered_bytes();
+  out.wifi_bytes = net.wifi_bytes();
+  out.cell_bytes = net.cellular_bytes();
   const Bytes total = out.wifi_bytes + out.cell_bytes;
   out.cell_fraction = total > 0 ? static_cast<double>(out.cell_bytes) /
                                       static_cast<double>(total)

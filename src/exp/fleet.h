@@ -2,26 +2,19 @@
 // Fleet workload: N concurrent DASH sessions on one event loop contending
 // on a single shared WiFi AP + cellular bottleneck pair.
 //
-// Each tenant runs the full per-session stack (player, adaptation,
-// MP-DASH adapter, MPTCP connection, recovery layers) over shared-mode
-// NetPath facades: packets are stamped with the tenant's flow id and the
-// shared links arbitrate between flows with the configured queue
-// discipline (FIFO or deficit-round-robin fair queueing). Tenants join
-// staggered, stream to completion, and the fleet reports per-session
-// SessionResults plus cross-session aggregates: QoE mean/p10, Jain
-// fairness on steady-state bitrate, and cellular-byte totals.
+// A fleet is the one streaming run body (Tenancy, exp/session.h) with N
+// staggered tenants over flow-i NetPath facades onto a Scenario's links,
+// which arbitrate between flows with the configured queue discipline
+// (FIFO, or deficit-round-robin fair queueing with a one-MTU quantum). It
+// reports per-session SessionResults plus cross-session aggregates: QoE
+// mean/p10, Jain fairness on steady-state bitrate, cellular-byte totals.
 //
-// Determinism contract: everything mutable derives from FleetConfig::seed
+// Determinism: everything mutable derives from FleetConfig::seed
 // (per-tenant seeds via derive_stream_seed(seed, "session/<i>"), link loss
-// streams via the "links" stream), tenants are constructed and scheduled
-// in session order, and campaign results land in add-order slots — so the
-// per-session CSV is bitwise identical for any --jobs count.
-//
-// Chaos composes: a fleet-level fault plan attaches to the *shared* links,
-// so one AP blackout perturbs every tenant at once; the whole fleet runs
-// under one watchdog and non-ok campaign runs emit self-contained fleet
-// repro bundles (exp/repro.h), which `mpdash_sim repro` replays and
-// `mpdash_sim shrink` minimizes like any other bundle.
+// streams via "links"), and campaign results land in add-order slots, so
+// the per-session CSV is bitwise identical for any --jobs count. A fleet
+// fault plan hits the shared links, so one AP blackout perturbs every
+// tenant; non-ok campaign runs emit fleet repro bundles (exp/repro.h).
 
 #include <cstdint>
 #include <string>
@@ -44,7 +37,6 @@ struct FleetConfig {
 
   // --- shared bottleneck shape -----------------------------------------
   QueueDiscipline discipline = QueueDiscipline::kFairQueue;
-  Bytes fq_quantum = 1500;
   // Aggregate capacities all tenants share (not per-tenant).
   double wifi_mbps = 20.0;
   double lte_mbps = 12.0;
@@ -61,7 +53,7 @@ struct FleetConfig {
   // Whole-fleet budget; tenants still streaming at the limit are flagged.
   Duration time_limit = seconds(1800.0);
   // One watchdog guards the whole fleet (per-tenant watchdog specs are
-  // ignored — EventLoop has a single pre-event hook).
+  // ignored: the run body arms one watchdog for the whole loop).
   WatchdogConfig watchdog{500'000'000, 900.0};
   // Fleet-level fault plan applied to the shared links (path ids
   // kWifiPathId / kCellularPathId) and every tenant's origin server.

@@ -28,7 +28,9 @@ std::string fleet_config_to_json(const FleetConfig& c) {
   }
   out += "]";
   out += ", \"discipline\": " + json_quote(to_string(c.discipline));
-  out += ", \"fq_quantum\": " + std::to_string(c.fq_quantum);
+  // The shared links' DRR quantum is the link default (one MTU); bundles
+  // keep recording it so a reader can tell it never changed.
+  out += ", \"fq_quantum\": " + std::to_string(LinkConfig{}.fq_quantum);
   out += ", \"wifi_mbps\": " + json_double(c.wifi_mbps);
   out += ", \"lte_mbps\": " + json_double(c.lte_mbps);
   out += ", \"wifi_up_mbps\": " + json_double(c.wifi_up_mbps);
@@ -84,8 +86,10 @@ bool fleet_config_from_json_value(const JsonValue& root, FleetConfig* out,
     return bad("discipline");
   }
   v = root.find("fq_quantum");
-  if (v == nullptr || !v->is_number()) return bad("fq_quantum");
-  c.fq_quantum = v->as_int64(1500);
+  if (v == nullptr || !v->is_number() ||
+      v->as_int64(0) != LinkConfig{}.fq_quantum) {
+    return bad("fq_quantum");
+  }
   auto read_double = [&root, &bad](const char* name, double* field) {
     const JsonValue* w = root.find(name);
     if (w == nullptr || !w->is_number()) return bad(name);

@@ -1,5 +1,7 @@
 #include "exp/scenario.h"
 
+#include "trace/locations.h"
+
 namespace mpdash {
 
 ScenarioConfig constant_scenario(DataRate wifi_mbps, DataRate lte_mbps) {
@@ -9,42 +11,48 @@ ScenarioConfig constant_scenario(DataRate wifi_mbps, DataRate lte_mbps) {
   return cfg;
 }
 
+ScenarioConfig location_scenario(const LocationProfile& loc,
+                                 Duration horizon) {
+  ScenarioConfig cfg;
+  cfg.wifi_down = loc.wifi_trace(horizon);
+  cfg.lte_down = loc.lte_trace(horizon);
+  cfg.wifi_rtt = loc.wifi_rtt;
+  cfg.lte_rtt = loc.lte_rtt;
+  return cfg;
+}
+
 Scenario::Scenario(ScenarioConfig config) : config_(std::move(config)) {
-  {
-    PathEndpointsConfig wifi;
-    wifi.description.id = kWifiPathId;
-    wifi.description.name = "wifi";
-    wifi.description.kind = InterfaceKind::kWifi;
-    wifi.description.metered = false;
-    wifi.downlink_rate = config_.wifi_down;
-    wifi.uplink_rate = BandwidthTrace::constant(config_.wifi_up);
-    wifi.one_way_delay = config_.wifi_rtt / 2;
-    wifi.queue_capacity = config_.queue_capacity;
-    wifi.random_loss = config_.random_loss;
-    wifi.downlink_ge_loss = config_.wifi_ge_loss;
-    wifi.loss_seed = derive_stream_seed(config_.seed, "wifi");
-    std::vector<PathDescription> descs{wifi.description};
-    config_.policy.apply(descs);
-    wifi.description = descs.front();
-    wifi_ = std::make_unique<NetPath>(loop_, std::move(wifi));
-  }
+  // Both interfaces share the queue, loss and discipline settings; each
+  // path's loss streams derive from the scenario seed under its own name.
+  auto endpoints = [this](int id, const char* name, InterfaceKind kind,
+                          const BandwidthTrace& down, DataRate up,
+                          Duration rtt,
+                          const std::optional<GilbertElliottConfig>& ge) {
+    PathEndpointsConfig p;
+    p.description.id = id;
+    p.description.name = name;
+    p.description.kind = kind;
+    p.description.metered = kind == InterfaceKind::kCellular;
+    p.description.unit_cost = config_.policy.cost_for(kind);
+    p.downlink_rate = down;
+    p.uplink_rate = BandwidthTrace::constant(up);
+    p.one_way_delay = rtt / 2;
+    p.queue_capacity = config_.queue_capacity;
+    p.random_loss = config_.random_loss;
+    p.discipline = config_.discipline;
+    p.downlink_ge_loss = ge;
+    p.loss_seed = derive_stream_seed(config_.seed, name);
+    return p;
+  };
+  wifi_ = std::make_unique<NetPath>(
+      loop_, endpoints(kWifiPathId, "wifi", InterfaceKind::kWifi,
+                       config_.wifi_down, config_.wifi_up, config_.wifi_rtt,
+                       config_.wifi_ge_loss));
   if (!config_.wifi_only) {
-    PathEndpointsConfig lte;
-    lte.description.id = kCellularPathId;
-    lte.description.name = "lte";
-    lte.description.kind = InterfaceKind::kCellular;
-    lte.description.metered = true;
-    lte.downlink_rate = config_.lte_down;
-    lte.uplink_rate = BandwidthTrace::constant(config_.lte_up);
-    lte.one_way_delay = config_.lte_rtt / 2;
-    lte.queue_capacity = config_.queue_capacity;
-    lte.random_loss = config_.random_loss;
-    lte.downlink_ge_loss = config_.lte_ge_loss;
-    lte.loss_seed = derive_stream_seed(config_.seed, "lte");
+    PathEndpointsConfig lte = endpoints(
+        kCellularPathId, "lte", InterfaceKind::kCellular, config_.lte_down,
+        config_.lte_up, config_.lte_rtt, config_.lte_ge_loss);
     lte.downlink_shaper = config_.lte_throttle;
-    std::vector<PathDescription> descs{lte.description};
-    config_.policy.apply(descs);
-    lte.description = descs.front();
     lte_ = std::make_unique<NetPath>(loop_, std::move(lte));
   }
 }

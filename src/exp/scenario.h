@@ -26,6 +26,9 @@ struct ScenarioConfig {
   Duration lte_rtt = milliseconds(55);    // commercial LTE, 50-60 ms
   Bytes queue_capacity = 192 * 1000;
   double random_loss = 0.0;  // extra i.i.d. loss on every link
+  // Arbitration on every link; fleet topologies share the links between
+  // tenants and default to fair queueing (see FleetConfig).
+  QueueDiscipline discipline = QueueDiscipline::kFifo;
   // Bursty downlink loss (Gilbert–Elliott); per interface so a noisy WiFi
   // AP can coexist with a clean LTE carrier.
   std::optional<GilbertElliottConfig> wifi_ge_loss;
@@ -39,8 +42,14 @@ struct ScenarioConfig {
   bool wifi_only = false;  // single-path baseline (Figure 11 bottom)
 };
 
+struct LocationProfile;
+
 // Convenience constructors for common setups.
 ScenarioConfig constant_scenario(DataRate wifi_mbps, DataRate lte_mbps);
+// A field-study location: its WiFi/LTE bandwidth traces over `horizon`
+// and its measured RTTs.
+ScenarioConfig location_scenario(const LocationProfile& loc,
+                                 Duration horizon);
 
 // Owns the event loop and the paths for one experiment run.
 class Scenario {

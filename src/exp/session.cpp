@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "adapt/bba.h"
 #include "adapt/festive.h"
@@ -107,93 +108,135 @@ class EnergyProbe {
 
 }  // namespace
 
-StreamingSession::StreamingSession(EventLoop& loop,
-                                   std::vector<NetPath*> paths,
-                                   const Video& video,
-                                   const SessionConfig& config,
-                                   const SessionEnv& env)
-    : loop_(loop), config_(config), fault_paths_(paths) {
-  if (config_.scheme == Scheme::kWifiOnly && paths.size() > 1) {
-    paths.resize(1);  // single-path TCP over WiFi
+// One tenant's full stack over borrowed paths on the shared loop.
+struct Tenancy::Stack {
+  Tenant tenant;
+  std::unique_ptr<MptcpConnection> conn;
+  std::unique_ptr<DashServer> server;
+  std::unique_ptr<HttpClient> client;
+  std::unique_ptr<RateAdaptation> adaptation;
+  std::unique_ptr<MpDashSocket> socket;
+  std::unique_ptr<MpDashAdapter> adapter;
+  std::unique_ptr<DashPlayer> player;
+  bool done = false;
+  TimePoint finish{};
+
+  Stack(EventLoop& loop, Tenant t, const Video& video) : tenant(std::move(t)) {
+    const SessionConfig& config = tenant.config;
+    std::vector<NetPath*> paths = tenant.paths;
+    if (config.scheme == Scheme::kWifiOnly && paths.size() > 1) {
+      paths.resize(1);  // single-path TCP over WiFi
+    }
+    conn = std::make_unique<MptcpConnection>(loop, paths);
+    conn->server().set_scheduler(make_scheduler(config.mptcp_scheduler));
+    Telemetry* telemetry = tenant.telemetry;
+    if (telemetry) conn->set_telemetry(telemetry);
+
+    if (config.mptcp_recovery.max_consecutive_rtos > 0) {
+      conn->server().set_failure_policy(config.mptcp_recovery);
+      conn->client().set_failure_policy(config.mptcp_recovery);
+    }
+
+    server = std::make_unique<DashServer>(conn->server(), video);
+    HttpClientConfig hcfg = config.http_recovery;
+    // A prefetching player needs the transport to pipeline as deep as the
+    // player's in-flight window; never shrink an explicit wider setting.
+    hcfg.max_pipeline = std::max(hcfg.max_pipeline,
+                                 config.player.max_inflight_chunks);
+    client = std::make_unique<HttpClient>(loop, conn->client(), hcfg);
+    if (telemetry) client->set_telemetry(telemetry);
+
+    adaptation = make_adaptation(config.adaptation);
+
+    if (scheme_uses_mpdash(config.scheme)) {
+      MpDashSocketConfig scfg;
+      scfg.scheduler.alpha = config.alpha;
+      scfg.scheduler.enable_debounce_ticks = config.debounce_ticks;
+      socket = std::make_unique<MpDashSocket>(loop, *conn, scfg);
+      if (telemetry) socket->set_telemetry(telemetry);
+      AdapterConfig acfg;
+      acfg.policy = config.scheme == Scheme::kMpDashDuration
+                        ? DeadlinePolicy::kDurationBased
+                        : DeadlinePolicy::kRateBased;
+      adapter = std::make_unique<MpDashAdapter>(*socket, *adaptation, acfg);
+    }
+
+    player = std::make_unique<DashPlayer>(loop, *client, *adaptation,
+                                          config.player, adapter.get());
+    if (telemetry) player->set_telemetry(telemetry);
+    player->set_done_callback([this, &loop] {
+      done = true;
+      finish = loop.now();
+    });
   }
-  conn_ = std::make_unique<MptcpConnection>(loop, paths);
-  conn_->server().set_scheduler(make_scheduler(config_.mptcp_scheduler));
-  Telemetry* telemetry = env.telemetry;
-  if (telemetry) conn_->set_telemetry(telemetry);
 
-  if (config_.mptcp_recovery.max_consecutive_rtos > 0) {
-    conn_->server().set_failure_policy(config_.mptcp_recovery);
-    conn_->client().set_failure_policy(config_.mptcp_recovery);
+  // The done callback holds `this`: never copied or moved.
+  Stack(const Stack&) = delete;
+  Stack& operator=(const Stack&) = delete;
+};
+
+Tenancy::Tenancy(EventLoop& loop, const Video& video,
+                 std::vector<Tenant> tenants, const FaultPlan* faults,
+                 Telemetry* fault_telemetry)
+    : loop_(loop) {
+  for (Tenant& t : tenants) {
+    stacks_.push_back(std::make_unique<Stack>(loop, std::move(t), video));
   }
 
-  server_ = std::make_unique<DashServer>(conn_->server(), video);
-  HttpClientConfig hcfg = config_.http_recovery;
-  // A prefetching player needs the transport to pipeline as deep as the
-  // player's in-flight window; never shrink an explicit wider setting.
-  hcfg.max_pipeline = std::max(hcfg.max_pipeline,
-                               config_.player.max_inflight_chunks);
-  client_ = std::make_unique<HttpClient>(loop, conn_->client(), hcfg);
-  if (telemetry) client_->set_telemetry(telemetry);
-
-  if (env.faults && !env.faults->empty()) {
-    injector_ = std::make_unique<FaultInjector>(loop, *env.faults);
-    // Faults attach to every path of the scenario — including the one a
-    // wifi-only connection leaves unused (the plan may still target it).
-    for (NetPath* p : fault_paths_) injector_->attach_path(p);
-    HttpServer& hs = server_->http();
+  if (faults != nullptr && !faults->empty()) {
+    injector_ = std::make_unique<FaultInjector>(loop, *faults);
+    // Faults address path ids; every tenant's paths front the same links,
+    // so tenant 0's set (all of them, even under wifi-only) is the target.
+    for (NetPath* p : stacks_.front()->tenant.paths) injector_->attach_path(p);
     FaultInjector::ServerHooks hooks;
-    hooks.set_stalled = [&hs](bool on) { hs.set_stalled(on); };
-    hooks.set_dropping = [&hs](bool on) { hs.set_dropping(on); };
+    hooks.set_stalled = [this](bool on) {
+      for (auto& s : stacks_) s->server->http().set_stalled(on);
+    };
+    hooks.set_dropping = [this](bool on) {
+      for (auto& s : stacks_) s->server->http().set_dropping(on);
+    };
     injector_->set_server_hooks(std::move(hooks));
-    if (telemetry) injector_->set_telemetry(telemetry);
+    if (fault_telemetry) injector_->set_telemetry(fault_telemetry);
     injector_->arm();
   }
 
-  adaptation_ = make_adaptation(config_.adaptation);
-
-  if (scheme_uses_mpdash(config_.scheme)) {
-    MpDashSocketConfig scfg;
-    scfg.scheduler.alpha = config_.alpha;
-    scfg.scheduler.enable_debounce_ticks = config_.debounce_ticks;
-    socket_ = std::make_unique<MpDashSocket>(loop, *conn_, scfg);
-    if (telemetry) socket_->set_telemetry(telemetry);
-    AdapterConfig acfg;
-    acfg.policy = config_.scheme == Scheme::kMpDashDuration
-                      ? DeadlinePolicy::kDurationBased
-                      : DeadlinePolicy::kRateBased;
-    adapter_ = std::make_unique<MpDashAdapter>(*socket_, *adaptation_, acfg);
+  for (auto& s : stacks_) {
+    DashPlayer* player = s->player.get();
+    loop.schedule_at(s->tenant.join, [player] { player->start(); });
   }
-
-  player_ = std::make_unique<DashPlayer>(loop, *client_, *adaptation_,
-                                         config_.player, adapter_.get());
-  if (telemetry) player_->set_telemetry(telemetry);
 }
 
-StreamingSession::~StreamingSession() = default;
+Tenancy::~Tenancy() = default;
 
-void StreamingSession::start() { player_->start(); }
-
-void StreamingSession::set_done_callback(std::function<void()> cb) {
-  player_->set_done_callback(std::move(cb));
+void Tenancy::run(Duration time_limit, const WatchdogConfig& watchdog) {
+  // Armed last so budget accounting starts at the run boundary; the RAII
+  // guard clears the loop's hook on every exit path, including the
+  // WatchdogTripped unwind itself.
+  RunWatchdog guard(loop_, watchdog);
+  loop_.run_until(TimePoint(time_limit));
 }
 
-bool StreamingSession::done() const { return player_->done(); }
+const bool& Tenancy::done(std::size_t i) const { return stacks_[i]->done; }
 
-Bytes StreamingSession::path_wire_bytes(int path_id) const {
-  for (const NetPath* p : fault_paths_) {
-    if (p->id() == path_id) return p->delivered_wire_bytes();
-  }
-  return 0;
-}
+TimePoint Tenancy::finish(std::size_t i) const { return stacks_[i]->finish; }
 
-SessionResult StreamingSession::collect() const {
-  const DashPlayer& player = *player_;
+SessionResult Tenancy::collect(std::size_t i) const {
+  const Stack& s = *stacks_[i];
+  const DashPlayer& player = *s.player;
   SessionResult res;
-  res.completed = player.done();
-  res.session_s = to_seconds(loop_.now());
-  if (player.done() && !player.events().empty()) {
-    res.session_s = to_seconds(player.events().back().at);
+  res.completed = s.done;
+  res.session_s =
+      to_seconds((s.done ? s.finish : loop_.now()) - s.tenant.join);
+  // Per-flow slices on shared links, whole-link counters on owned ones,
+  // over every path the tenant was given (even one wifi-only leaves idle).
+  for (const NetPath* p : s.tenant.paths) {
+    (p->id() == kWifiPathId ? res.wifi_bytes : res.cell_bytes) +=
+        p->delivered_wire_bytes();
   }
+  const Bytes total = res.wifi_bytes + res.cell_bytes;
+  res.cell_fraction = total > 0 ? static_cast<double>(res.cell_bytes) /
+                                      static_cast<double>(total)
+                                : 0.0;
 
   res.stalls = player.stall_count();
   res.stall_s = to_seconds(player.total_stall_time());
@@ -201,47 +244,42 @@ SessionResult StreamingSession::collect() const {
   res.chunk_log = player.chunks();
   res.events = player.events();
   res.chunks = static_cast<int>(res.chunk_log.size());
-  if (socket_) res.deadline_misses = socket_->deadline_misses();
-  if (adapter_) res.chunks_engaged = adapter_->chunks_engaged();
+  if (s.socket) res.deadline_misses = s.socket->deadline_misses();
+  if (s.adapter) res.chunks_engaged = s.adapter->chunks_engaged();
 
-  res.subflow_failures = static_cast<int>(conn_->server().subflow_failures() +
-                                          conn_->client().subflow_failures());
-  res.subflow_revivals = static_cast<int>(conn_->server().subflow_revivals() +
-                                          conn_->client().subflow_revivals());
+  MptcpConnection& conn = *s.conn;
+  res.subflow_failures = static_cast<int>(conn.server().subflow_failures() +
+                                          conn.client().subflow_failures());
+  res.subflow_revivals = static_cast<int>(conn.server().subflow_revivals() +
+                                          conn.client().subflow_revivals());
   res.reinjected_packets =
-      static_cast<int>(conn_->server().reinjected_packets() +
-                       conn_->client().reinjected_packets());
+      static_cast<int>(conn.server().reinjected_packets() +
+                       conn.client().reinjected_packets());
   res.reinject_backlog =
-      conn_->server().reinject_backlog() + conn_->client().reinject_backlog();
-  res.http_timeouts = static_cast<int>(client_->timeouts());
-  res.http_retries = static_cast<int>(client_->retries_sent());
+      conn.server().reinject_backlog() + conn.client().reinject_backlog();
+  res.http_timeouts = static_cast<int>(s.client->timeouts());
+  res.http_retries = static_cast<int>(s.client->retries_sent());
   res.chunk_retries = player.chunk_retries();
   res.chunks_abandoned = player.chunks_abandoned();
   res.manifest_failed = player.manifest_failed();
-  if (injector_) {
-    res.faults_started = injector_->faults_started();
-    res.faults_ended = injector_->faults_ended();
-    res.faults_skipped = injector_->faults_skipped();
-    res.faults_quiescent = injector_->quiescent();
-  }
-  res.server_data_seq_high = conn_->server().data_seq_high();
-  res.client_bytes_in_order = conn_->client().bytes_received_in_order();
-  res.client_data_seq_high = conn_->client().data_seq_high();
-  res.server_bytes_in_order = conn_->server().bytes_received_in_order();
+  res.server_data_seq_high = conn.server().data_seq_high();
+  res.client_bytes_in_order = conn.client().bytes_received_in_order();
+  res.client_data_seq_high = conn.client().data_seq_high();
+  res.server_bytes_in_order = conn.server().bytes_received_in_order();
 
   if (!res.chunk_log.empty() && player.video()) {
     const Video& v = *player.video();
     double sum_all = 0.0, sum_steady = 0.0, sum_level = 0.0;
     const std::size_t skip = static_cast<std::size_t>(
-        config_.steady_skip_fraction *
+        s.tenant.config.steady_skip_fraction *
         static_cast<double>(res.chunk_log.size()));
     std::size_t steady_n = 0;
-    for (std::size_t i = 0; i < res.chunk_log.size(); ++i) {
+    for (std::size_t k = 0; k < res.chunk_log.size(); ++k) {
       const double mbps =
-          v.level(res.chunk_log[i].level).avg_bitrate.as_mbps();
+          v.level(res.chunk_log[k].level).avg_bitrate.as_mbps();
       sum_all += mbps;
-      sum_level += res.chunk_log[i].level;
-      if (i >= skip) {
+      sum_level += res.chunk_log[k].level;
+      if (k >= skip) {
         sum_steady += mbps;
         ++steady_n;
       }
@@ -259,54 +297,45 @@ SessionResult run_streaming_session(Scenario& scenario, const Video& video,
                                     const SessionEnv& env) {
   EventLoop& loop = scenario.loop();
   Telemetry local_telemetry;
-  SessionEnv e = env;
-  if (!e.telemetry && (config.record_trace || e.metrics)) {
-    e.telemetry = &local_telemetry;
+  Telemetry* telemetry = env.telemetry;
+  if (!telemetry && (config.record_trace || env.metrics)) {
+    telemetry = &local_telemetry;
   }
   TraceCollector collector;
-  if (e.telemetry) {
+  if (telemetry) {
     if (config.record_trace) {
       // The analyzer reconstructs HTTP framing from delivered payload.
-      e.telemetry->set_capture_payload(true);
-      e.telemetry->add_sink(&collector);
+      telemetry->set_capture_payload(true);
+      telemetry->add_sink(&collector);
     }
-    scenario.set_telemetry(e.telemetry);
+    scenario.set_telemetry(telemetry);
   }
 
-  StreamingSession session(loop, scenario.paths(), video, config, e);
-
-  bool done = false;
-  session.set_done_callback([&done] { done = true; });
-  EnergyProbe probe(scenario, done);
+  Tenancy tenancy(loop, video,
+                  {Tenant{scenario.paths(), config, telemetry, loop.now()}},
+                  env.faults, telemetry);
+  EnergyProbe probe(scenario, tenancy.done(0));
   std::unique_ptr<MetricsSnapshotter> snapshotter;
-  if (e.telemetry && e.metrics) {
+  if (telemetry && env.metrics) {
     snapshotter = std::make_unique<MetricsSnapshotter>(
-        loop, *e.telemetry, *e.metrics, config.metrics_interval, done);
+        loop, *telemetry, *env.metrics, config.metrics_interval,
+        tenancy.done(0));
   }
+  tenancy.run(config.time_limit, config.watchdog);
 
-  // Armed last so budget accounting starts at the run boundary; the RAII
-  // guard clears the loop's hook on every exit path, including the
-  // WatchdogTripped unwind itself.
-  RunWatchdog watchdog(loop, config.watchdog);
-
-  session.start();
-  loop.run_until(TimePoint(config.time_limit));
-
-  SessionResult res = session.collect();
-  res.wifi_bytes = scenario.wifi_bytes();
-  res.cell_bytes = scenario.cellular_bytes();
-  const Bytes total = res.wifi_bytes + res.cell_bytes;
-  res.cell_fraction =
-      total > 0 ? static_cast<double>(res.cell_bytes) /
-                      static_cast<double>(total)
-                : 0.0;
-  if (config.record_trace && e.telemetry) {
-    e.telemetry->remove_sink(&collector);
+  SessionResult res = tenancy.collect(0);
+  if (const FaultInjector* injector = tenancy.faults()) {
+    res.faults_started = injector->faults_started();
+    res.faults_skipped = injector->faults_skipped();
+    res.faults_quiescent = injector->quiescent();
+  }
+  if (config.record_trace && telemetry) {
+    telemetry->remove_sink(&collector);
     res.trace = collector.take();
   }
   // The scenario (and its event loop) outlives this run; never leave it
   // pointing at the internal context.
-  if (e.telemetry == &local_telemetry) scenario.set_telemetry(nullptr);
+  if (telemetry == &local_telemetry) scenario.set_telemetry(nullptr);
 
   const Duration horizon = seconds(res.session_s);
   const SessionEnergy energy = price_session(

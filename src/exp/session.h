@@ -4,7 +4,6 @@
 // scheduler-only evaluations), each returning the metrics the paper
 // reports.
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,12 +18,7 @@
 namespace mpdash {
 
 struct FaultPlan;
-class MptcpConnection;
-class DashServer;
-class HttpClient;
 class FaultInjector;
-class MpDashSocket;
-class MpDashAdapter;
 
 enum class Scheme : std::uint8_t {
   kWifiOnly,         // single path (no MPTCP)
@@ -123,8 +117,9 @@ struct SessionResult {
   int chunk_retries = 0;
   int chunks_abandoned = 0;
   bool manifest_failed = false;
+  // The run's fault injector, for a single session; fleet tenants leave
+  // these at their defaults (FleetResult reports the shared plan).
   int faults_started = 0;
-  int faults_ended = 0;
   int faults_skipped = 0;
   bool faults_quiescent = true;  // every fault window opened and closed
   // Byte accounting per direction: one past the highest connection-level
@@ -135,52 +130,62 @@ struct SessionResult {
   std::uint64_t server_bytes_in_order = 0;
 };
 
-// One session's full stack — MPTCP connection, DASH server, HTTP client,
-// optional fault injector, adaptation, MP-DASH socket/adapter, player —
-// constructed over borrowed paths on a borrowed loop. Extracted from
-// run_streaming_session so a fleet can host N of these on one EventLoop
-// (each over per-session shared-link facades). Construction order is part
-// of the determinism contract: event ids derive from scheduling order, so
-// the stack always wires up in the same sequence.
-//
-// Scenario-level concerns (link telemetry, energy probe, metrics
-// snapshotter, watchdog, byte/energy accounting) stay with the caller.
-class StreamingSession {
+// One tenant of a streaming run: the paths its connection rides (a
+// Scenario's own paths, or per-flow facades onto shared links), its
+// resolved config, the telemetry its stack instruments into (borrowed;
+// null = none) and the instant it starts its manifest fetch.
+struct Tenant {
+  std::vector<NetPath*> paths;
+  SessionConfig config;
+  Telemetry* telemetry = nullptr;
+  TimePoint join{};
+};
+
+// The one streaming run body. A single session is a tenancy of one
+// (run_streaming_session); a fleet is N tenants on shared links
+// (run_fleet). Construction does, in this order:
+//   1. builds every tenant's stack (MPTCP connection, DASH server, HTTP
+//      client, adaptation, MP-DASH socket/adapter, player) in tenant order;
+//   2. arms the one fault plan against tenant 0's paths (the links every
+//      tenant rides) and every tenant's origin server;
+//   3. schedules each tenant's start at its join time.
+// No stack constructor schedules an event, so faults starting at a join
+// instant always run before that join. run() and collect() are steps 4
+// and 5. The order is part of the determinism contract: event ids derive
+// from scheduling order.
+class Tenancy {
  public:
-  StreamingSession(EventLoop& loop, std::vector<NetPath*> paths,
-                   const Video& video, const SessionConfig& config,
-                   const SessionEnv& env);
-  ~StreamingSession();
+  // `tenants` must not be empty. `faults` (borrowed, may be null or empty)
+  // reports into `fault_telemetry` (may be null).
+  Tenancy(EventLoop& loop, const Video& video, std::vector<Tenant> tenants,
+          const FaultPlan* faults, Telemetry* fault_telemetry);
+  ~Tenancy();
 
-  StreamingSession(const StreamingSession&) = delete;
-  StreamingSession& operator=(const StreamingSession&) = delete;
+  Tenancy(const Tenancy&) = delete;
+  Tenancy& operator=(const Tenancy&) = delete;
 
-  // Kicks off the manifest fetch; callable immediately or from a scheduled
-  // join event (fleet staggering).
-  void start();
-  void set_done_callback(std::function<void()> cb);
-  bool done() const;
-  // For fleet-level fault hooks (server stall/drop toggles).
-  DashServer& dash_server() { return *server_; }
-  // Per-tenant wire bytes on the given path (per-flow slices on shared
-  // links, whole-link counters on owned ones).
-  Bytes path_wire_bytes(int path_id) const;
-  // Everything session-local: player/transport/robustness counters and the
-  // steady-state bitrate stats. Byte/energy/trace fields are the caller's.
-  SessionResult collect() const;
+  // Runs the loop to `time_limit` under one watchdog; throws
+  // WatchdogTripped when a budget trips.
+  void run(Duration time_limit, const WatchdogConfig& watchdog);
+
+  // Tenant i finished playback; stays referenced by per-run samplers
+  // (energy probe, metrics snapshotter) that stop once it flips.
+  const bool& done(std::size_t i) const;
+  // When tenant i finished (meaningful once done(i)).
+  TimePoint finish(std::size_t i) const;
+  // Tenant i's session-local counters, its wire bytes over its own paths,
+  // and session_s measured from its join. Fault and energy fields are the
+  // caller's.
+  SessionResult collect(std::size_t i) const;
+  // The armed fault injector; null when the run has no faults.
+  const FaultInjector* faults() const { return injector_.get(); }
 
  private:
+  struct Stack;
+
   EventLoop& loop_;
-  SessionConfig config_;
-  std::vector<NetPath*> fault_paths_;
-  std::unique_ptr<MptcpConnection> conn_;
-  std::unique_ptr<DashServer> server_;
-  std::unique_ptr<HttpClient> client_;
+  std::vector<std::unique_ptr<Stack>> stacks_;
   std::unique_ptr<FaultInjector> injector_;
-  std::unique_ptr<RateAdaptation> adaptation_;
-  std::unique_ptr<MpDashSocket> socket_;
-  std::unique_ptr<MpDashAdapter> adapter_;
-  std::unique_ptr<DashPlayer> player_;
 };
 
 SessionResult run_streaming_session(Scenario& scenario, const Video& video,

@@ -15,6 +15,7 @@ NetPath::NetPath(EventLoop& loop, PathEndpointsConfig config)
   down.random_loss = config.random_loss;
   down.ge_loss = config.downlink_ge_loss;
   down.loss_seed = derive_stream_seed(config.loss_seed, ".down");
+  down.discipline = config.discipline;
   owned_down_ = std::make_unique<Link>(loop, std::move(down));
 
   LinkConfig up;
@@ -25,6 +26,7 @@ NetPath::NetPath(EventLoop& loop, PathEndpointsConfig config)
   up.queue_capacity = config.queue_capacity;
   up.random_loss = config.random_loss;
   up.loss_seed = derive_stream_seed(config.loss_seed, ".up");
+  up.discipline = config.discipline;
   owned_up_ = std::make_unique<Link>(loop, std::move(up));
   down_ = owned_down_.get();
   up_ = owned_up_.get();

@@ -43,6 +43,7 @@ struct PathEndpointsConfig {
   Duration one_way_delay = milliseconds(25);
   Bytes queue_capacity = 192 * 1000;
   double random_loss = 0.0;
+  QueueDiscipline discipline = QueueDiscipline::kFifo;  // both links
   // Bursty loss on the downlink (the direction interference hurts most);
   // uplinks keep i.i.d.-only loss.
   std::optional<GilbertElliottConfig> downlink_ge_loss;

@@ -2,8 +2,10 @@
 // WiFi/LTE links. The contracts under test: campaign output is bitwise
 // --jobs-invariant, fair queueing equalizes tenants that FIFO starves,
 // the cross-session aggregates are consistent with the per-session rows,
-// the session mix cycles deterministically, and fleet repro bundles
-// round-trip, replay to the same outcome, and shrink to their culprit.
+// the session mix cycles deterministically, a fault at a join instant runs
+// before that join for a session and a fleet alike, and fleet repro
+// bundles round-trip, replay to the same outcome, and shrink to their
+// culprit.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,7 @@
 #include "exp/spec.h"
 #include "fault/fault.h"
 #include "runner/campaign.h"
+#include "telemetry/telemetry.h"
 
 namespace mpdash {
 namespace {
@@ -169,6 +172,77 @@ TEST(Fleet, SharedFaultPlanPerturbsTheWholeFleet) {
   EXPECT_EQ(a.faults_skipped, 0);
 }
 
+// --- one run body: the order at a join instant --------------------------
+
+// A blackout on both paths starting exactly at t = 0: the join instant of
+// a single session and of fleet tenant 0.
+FaultPlan blackout_at_join() {
+  FaultPlan plan;
+  for (const int path : {kWifiPathId, kCellularPathId}) {
+    FaultEvent e;
+    e.kind = FaultKind::kBlackout;
+    e.at = kTimeZero;
+    e.duration = seconds(1.0);
+    e.path_id = path;
+    plan.events.push_back(e);
+  }
+  return plan;
+}
+
+// Position of the first record of `type` (fault records: start phase).
+std::size_t first_record(const std::vector<TraceRecord>& trace,
+                         TraceType type) {
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    if (trace[i].type == type &&
+        (type != TraceType::kFault || trace[i].enabled)) {
+      return i;
+    }
+  }
+  return trace.size();
+}
+
+// Faults are armed before any tenant's start is scheduled, so a fault
+// starting at the join instant runs before the tenant sends anything —
+// the same order for a session as for a fleet.
+TEST(RunBody, JoinInstantFaultPrecedesTheSessionsFirstSend) {
+  const FaultPlan plan = blackout_at_join();
+  Scenario scenario(resolve_scenario_config(default_chaos_spec(), 3));
+  Telemetry telemetry;
+  TraceCollector trace;
+  telemetry.add_sink(&trace);
+  SessionEnv env;
+  env.telemetry = &telemetry;
+  env.faults = &plan;
+  run_streaming_session(scenario, synthetic_video("order", 4),
+                        resolve_session_config(default_chaos_spec(), 3), env);
+  telemetry.remove_sink(&trace);
+
+  const std::size_t fault = first_record(trace.records(), TraceType::kFault);
+  const std::size_t send =
+      first_record(trace.records(), TraceType::kPacketSend);
+  ASSERT_LT(send, trace.records().size());
+  EXPECT_LT(fault, send);
+}
+
+TEST(RunBody, JoinInstantFaultPrecedesFleetTenantZerosFirstSend) {
+  const FaultPlan plan = blackout_at_join();
+  FleetConfig cfg = small_fleet(2, 4);
+  cfg.faults = &plan;
+  Telemetry telemetry;
+  TraceCollector trace;
+  telemetry.add_sink(&trace);
+  run_fleet(cfg, &telemetry);
+  telemetry.remove_sink(&trace);
+
+  const std::size_t fault = first_record(trace.records(), TraceType::kFault);
+  const std::size_t send =
+      first_record(trace.records(), TraceType::kPacketSend);
+  ASSERT_LT(send, trace.records().size());
+  // Tenant 1 joins a stagger later, so the first send is tenant 0's.
+  EXPECT_LT(trace.records()[send].at, TimePoint(cfg.join_stagger));
+  EXPECT_LT(fault, send);
+}
+
 TEST(Fleet, ChaosCampaignIsJobsInvariant) {
   FleetCampaignConfig cfg;
   cfg.fleet = small_fleet(3, 6);
@@ -218,6 +292,15 @@ TEST(FleetRepro, JsonRoundTripsBitwise) {
 
   EXPECT_FALSE(repro_bundle_from_json("{}", &parsed, &err));
   EXPECT_FALSE(repro_bundle_from_json("not json", &parsed, &err));
+
+  // The DRR quantum is fixed at one MTU: bundles record 1500 and the
+  // reader rejects any other value.
+  std::string other_quantum = text;
+  const std::size_t at = other_quantum.find("\"fq_quantum\": 1500");
+  ASSERT_NE(at, std::string::npos);
+  other_quantum.replace(at, 18, "\"fq_quantum\": 3000");
+  EXPECT_FALSE(repro_bundle_from_json(other_quantum, &parsed, &err));
+  EXPECT_EQ(err, "fleet config: missing or bad \"fq_quantum\"");
 }
 
 TEST(FleetRepro, FileRoundTripAndPath) {

@@ -308,6 +308,9 @@ TEST(TraceRoundTrip, LoaderRejectsGarbage) {
   EXPECT_FALSE(trace_record_from_json("{\"t\":1.0}", &out, &err));
   EXPECT_FALSE(
       trace_record_from_json("{\"t\":1.0,\"type\":\"martian\"}", &out, &err));
+  // `inf` is not JSON, and no emitter writes a non-finite double.
+  EXPECT_FALSE(
+      trace_record_from_json("{\"t\":inf,\"type\":\"player\"}", &out, &err));
 }
 
 TEST(TraceRoundTrip, KnownLabelsInternToStaticStorage) {

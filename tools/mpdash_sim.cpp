@@ -14,6 +14,8 @@
 //   mpdash_sim repro bundles/fleet_repro_7.json  # replay a chaos/fleet bundle
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -208,6 +210,40 @@ void print_command_usage(const CommandSpec& c, std::FILE* out) {
   std::exit(2);
 }
 
+// Strict numeric flag values: the whole token must parse and the value
+// must be in range; anything else is a usage error (exit 2), so a typo can
+// never quietly become 0 and pass an exit-status gate.
+template <typename Int>
+Int int_flag(const std::string& flag, const std::string& v, Int min) {
+  Int out{};
+  const char* end = v.data() + v.size();
+  const auto res = std::from_chars(v.data(), end, out);
+  if (res.ec != std::errc() || res.ptr != end || out < min) {
+    usage(("bad value '" + v + "' for " + flag + " (want an integer >= " +
+           std::to_string(min) + ")")
+              .c_str());
+  }
+  return out;
+}
+
+bool positive(double x) { return x > 0.0; }
+bool non_negative(double x) { return x >= 0.0; }
+bool unit_interval(double x) { return x >= 0.0 && x <= 1.0; }
+
+double real_flag(const std::string& flag, const std::string& v,
+                 bool (*in_range)(double), const char* range) {
+  double out = 0.0;
+  const char* end = v.data() + v.size();
+  const auto res = std::from_chars(v.data(), end, out);
+  if (res.ec != std::errc() || res.ptr != end || !std::isfinite(out) ||
+      !in_range(out)) {
+    usage(("bad value '" + v + "' for " + flag + " (want a number " + range +
+           ")")
+              .c_str());
+  }
+  return out;
+}
+
 Args parse(int argc, char** argv) {
   if (argc < 2) usage();
   if (std::strcmp(argv[1], "-h") == 0 || std::strcmp(argv[1], "--help") == 0) {
@@ -224,6 +260,10 @@ Args parse(int argc, char** argv) {
       if (i + 1 >= argc) usage(("missing value for " + flag).c_str());
       return argv[++i];
     };
+    auto integer = [&](int min) { return int_flag(flag, value(), min); };
+    auto real = [&](bool (*in_range)(double), const char* range) {
+      return real_flag(flag, value(), in_range, range);
+    };
     if (flag == "-h" || flag == "--help") {
       print_command_usage(*spec, stdout);
       std::exit(0);
@@ -232,22 +272,22 @@ Args parse(int argc, char** argv) {
     else if (flag == "--algo") a.algo = value();
     else if (flag == "--video") a.video = value();
     else if (flag == "--location") a.location = value();
-    else if (flag == "--wifi") a.wifi_mbps = std::atof(value().c_str());
-    else if (flag == "--lte") a.lte_mbps = std::atof(value().c_str());
+    else if (flag == "--wifi") a.wifi_mbps = real(positive, "> 0");
+    else if (flag == "--lte") a.lte_mbps = real(positive, "> 0");
     else if (flag == "--wifi-trace") a.wifi_trace_path = value();
     else if (flag == "--lte-trace") a.lte_trace_path = value();
-    else if (flag == "--chunk") a.chunk_s = std::atof(value().c_str());
-    else if (flag == "--alpha") a.alpha = std::atof(value().c_str());
+    else if (flag == "--chunk") a.chunk_s = real(positive, "> 0");
+    else if (flag == "--alpha") a.alpha = real(unit_interval, "in [0,1]");
     else if (flag == "--scheduler") a.mptcp_scheduler = value();
-    else if (flag == "--size-mb") a.size_mb = std::atof(value().c_str());
-    else if (flag == "--deadline") a.deadline_s = std::atof(value().c_str());
+    else if (flag == "--size-mb") a.size_mb = real(positive, "> 0");
+    else if (flag == "--deadline") a.deadline_s = real(positive, "> 0");
     else if (flag == "--no-mpdash") a.use_mpdash = false;
-    else if (flag == "--jobs") a.jobs = std::atoi(value().c_str());
-    else if (flag == "--seed-count") a.seed_count = std::atoi(value().c_str());
-    else if (flag == "--seed") a.seed = std::strtoull(value().c_str(), nullptr, 10);
+    else if (flag == "--jobs") a.jobs = integer(0);
+    else if (flag == "--seed-count") a.seed_count = integer(1);
+    else if (flag == "--seed") a.seed = int_flag(flag, value(), 0ull);
     else if (flag == "--no-recovery") a.recovery = false;
-    else if (flag == "--inflight") a.inflight = std::atoi(value().c_str());
-    else if (flag == "--chunks") a.chunks = std::atoi(value().c_str());
+    else if (flag == "--inflight") a.inflight = integer(1);
+    else if (flag == "--chunks") a.chunks = integer(1);
     else if (flag == "--csv") a.csv_path = value();
     else if (flag == "--metrics") a.metrics_path = value();
     else if (flag == "--metrics-prom") a.metrics_prom_path = value();
@@ -255,14 +295,14 @@ Args parse(int argc, char** argv) {
     else if (flag == "--trace-types") a.trace_types = value();
     else if (flag == "--series") a.series_path = value();
     else if (flag == "--series-interval")
-      a.series_interval_s = std::atof(value().c_str());
+      a.series_interval_s = real(positive, "> 0");
     else if (flag == "--attrib") a.attrib_path = value();
     else if (flag == "--bundle-dir") a.bundle_dir = value();
     else if (flag == "--keep-going") a.keep_going = true;
     else if (flag == "--strict") a.strict = true;
     else if (flag == "--out") a.out_path = value();
-    else if (flag == "--sessions") a.sessions = std::atoi(value().c_str());
-    else if (flag == "--stagger") a.stagger_s = std::atof(value().c_str());
+    else if (flag == "--sessions") a.sessions = integer(1);
+    else if (flag == "--stagger") a.stagger_s = real(non_negative, ">= 0");
     else if (flag == "--discipline") a.discipline = value();
     else if (flag == "--mix") a.mix = value();
     else if (flag == "--chaos") a.chaos = true;
@@ -294,14 +334,7 @@ Video pick_video(const Args& a) {
 ScenarioConfig build_network(const Args& a, Duration horizon) {
   if (!a.location.empty()) {
     for (const auto& loc : field_study_locations()) {
-      if (loc.name == a.location) {
-        ScenarioConfig cfg;
-        cfg.wifi_down = loc.wifi_trace(horizon);
-        cfg.lte_down = loc.lte_trace(horizon);
-        cfg.wifi_rtt = loc.wifi_rtt;
-        cfg.lte_rtt = loc.lte_rtt;
-        return cfg;
-      }
+      if (loc.name == a.location) return location_scenario(loc, horizon);
     }
     usage(("unknown location " + a.location).c_str());
   }
@@ -356,7 +389,7 @@ int cmd_stream(const Args& a) {
   cfg.adaptation = a.algo;
   cfg.alpha = a.alpha;
   cfg.mptcp_scheduler = a.mptcp_scheduler;
-  cfg.player.max_inflight_chunks = std::max(1, a.inflight);
+  cfg.player.max_inflight_chunks = a.inflight;
 
   Telemetry telemetry;
   MetricsTimeline timeline;
@@ -539,12 +572,7 @@ int cmd_sweep(const Args& a) {
   for (const auto& loc : locations) {
     campaign.add(loc.name + "/" + a.algo + "/" + a.scheme,
                  [&loc, &video, &a, scheme, horizon](RunContext&) {
-                   ScenarioConfig net;
-                   net.wifi_down = loc.wifi_trace(horizon);
-                   net.lte_down = loc.lte_trace(horizon);
-                   net.wifi_rtt = loc.wifi_rtt;
-                   net.lte_rtt = loc.lte_rtt;
-
+                   const ScenarioConfig net = location_scenario(loc, horizon);
                    SessionConfig cfg;
                    cfg.adaptation = a.algo;
                    cfg.alpha = a.alpha;
@@ -674,7 +702,7 @@ int cmd_chaos(const Args& a) {
   for (const ChaosRunResult& r : res.runs) {
     table.add_row({std::to_string(r.seed), to_string(r.outcome),
                    r.completed ? "yes" : "NO",
-                   std::to_string(r.chunks_delivered),
+                   std::to_string(r.chunks),
                    std::to_string(r.chunks_abandoned),
                    std::to_string(r.chunk_retries),
                    std::to_string(r.subflow_failures),
@@ -696,7 +724,7 @@ int cmd_chaos(const Args& a) {
     for (const ChaosRunResult& r : res.runs) {
       csv.add_row({std::to_string(r.seed), to_string(r.outcome),
                    r.completed ? "1" : "0",
-                   std::to_string(r.chunks_delivered),
+                   std::to_string(r.chunks),
                    std::to_string(r.chunks_abandoned),
                    std::to_string(r.chunk_retries), std::to_string(r.stalls),
                    std::to_string(r.subflow_failures),
@@ -746,7 +774,7 @@ int cmd_chaos(const Args& a) {
     }
     std::printf("attribution roll-up written to %s\n", a.attrib_path.c_str());
   }
-  if (!a.trace_path.empty()) {
+  if (!a.trace_path.empty() && res.outcome_counts().crashed == 0) {
     std::printf("per-run traces written to %s%s\n", a.trace_path.c_str(),
                 cfg.seed_count > 1 ? ".<seed>" : "");
   }
@@ -762,7 +790,7 @@ std::vector<SessionSpec> parse_mix(const Args& a) {
   base.adaptation = a.algo;
   base.mptcp_scheduler = a.mptcp_scheduler;
   base.alpha = a.alpha;
-  base.inflight = std::max(1, a.inflight);
+  base.inflight = a.inflight;
   base.recovery = a.recovery;
   if (a.mix.empty()) {
     mix.push_back(base);
@@ -789,7 +817,7 @@ std::vector<SessionSpec> parse_mix(const Args& a) {
 // per-session CSV lands in (seed, session) order for any --jobs count.
 int cmd_fleet(const Args& a) {
   FleetCampaignConfig cfg;
-  cfg.fleet.sessions = std::max(1, a.sessions);
+  cfg.fleet.sessions = a.sessions;
   if (a.chunks > 0) cfg.fleet.chunk_count = a.chunks;
   cfg.fleet.mix = parse_mix(a);
   if (a.discipline == "fifo") {
