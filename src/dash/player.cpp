@@ -87,10 +87,10 @@ void DashPlayer::schedule_fetch(int lookahead) {
   const Duration level = buffer_->level(loop_.now());
   const Duration room_at =
       level + lookahead * video_->chunk_duration() - buffer_->capacity();
-  loop_.cancel(fetch_timer_);
-  fetch_timer_ = loop_.schedule_in(std::max(room_at, kDurationZero) +
-                                       microseconds(1),
-                                   [this] { fetch_next_chunk(); });
+  const Duration wait = std::max(room_at, kDurationZero) + microseconds(1);
+  if (!loop_.rearm(fetch_timer_, loop_.now() + wait)) {
+    fetch_timer_ = loop_.schedule_in(wait, [this] { fetch_next_chunk(); });
+  }
 }
 
 void DashPlayer::fetch_next_chunk() {
@@ -298,12 +298,17 @@ void DashPlayer::maybe_start_playback() {
 }
 
 void DashPlayer::arm_depletion_watch() {
-  loop_.cancel(depletion_timer_);
-  depletion_timer_ = EventId{};
-  if (!playing_started_ || stalled_ || done_) return;
-  const TimePoint at = buffer_->depletion_time(loop_.now());
-  if (at == TimePoint::max()) return;
-  depletion_timer_ = loop_.schedule_at(at, [this] { on_depleted(); });
+  const TimePoint at = !playing_started_ || stalled_ || done_
+                           ? TimePoint::max()
+                           : buffer_->depletion_time(loop_.now());
+  if (at == TimePoint::max()) {
+    loop_.cancel(depletion_timer_);
+    depletion_timer_ = EventId{};
+    return;
+  }
+  if (!loop_.rearm(depletion_timer_, at)) {
+    depletion_timer_ = loop_.schedule_at(at, [this] { on_depleted(); });
+  }
 }
 
 void DashPlayer::on_depleted() {

@@ -173,10 +173,12 @@ void HttpClient::send_attempt(Pending& p) {
   if (config_.request_timeout > kDurationZero) {
     p.rid = next_rid_++;
     req.headers.push_back({kRequestIdHeader, std::to_string(p.rid)});
-    loop_.cancel(p.timeout_timer);
-    Pending* owner = &p;
-    p.timeout_timer = loop_.schedule_in(config_.request_timeout,
-                                        [this, owner] { on_timeout(owner); });
+    if (!loop_.rearm(p.timeout_timer,
+                     loop_.now() + config_.request_timeout)) {
+      Pending* owner = &p;
+      p.timeout_timer = loop_.schedule_in(
+          config_.request_timeout, [this, owner] { on_timeout(owner); });
+    }
   }
   emit_http("request", p.attempt, 0.0, p.span);
   endpoint_.send(req.to_wire(), p.span);

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 #include <utility>
 
 namespace mpdash {
@@ -16,24 +17,42 @@ Link::Link(EventLoop& loop, LinkConfig config)
   track_flows_ = config_.discipline == QueueDiscipline::kFairQueue;
 }
 
+Link::Flow& Link::flow_state(int flow) {
+  if (flow < 0) {
+    throw std::invalid_argument("link " + config_.name +
+                                ": negative flow id " + std::to_string(flow));
+  }
+  const auto index = static_cast<std::size_t>(flow);
+  if (index >= flows_.size()) flows_.resize(index + 1);
+  return flows_[index];
+}
+
+const Link::Flow* Link::find_flow(int flow) const {
+  if (flow < 0 || static_cast<std::size_t>(flow) >= flows_.size()) {
+    return nullptr;
+  }
+  return &flows_[static_cast<std::size_t>(flow)];
+}
+
 void Link::set_flow_deliver(int flow, DeliverHandler h) {
+  Flow& f = flow_state(flow);
   track_flows_ = true;
-  flow_deliver_[flow] = std::move(h);
+  f.deliver = std::move(h);
 }
 
 Bytes Link::delivered_bytes_for_flow(int flow) const {
-  auto it = flow_delivered_.find(flow);
-  return it == flow_delivered_.end() ? 0 : it->second;
+  const Flow* f = find_flow(flow);
+  return f ? f->delivered : 0;
 }
 
 Bytes Link::dropped_bytes_for_flow(int flow) const {
-  auto it = flow_dropped_.find(flow);
-  return it == flow_dropped_.end() ? 0 : it->second;
+  const Flow* f = find_flow(flow);
+  return f ? f->dropped : 0;
 }
 
 Bytes Link::queued_bytes_for_flow(int flow) const {
-  auto it = flow_queued_.find(flow);
-  return it == flow_queued_.end() ? 0 : it->second;
+  const Flow* f = find_flow(flow);
+  return f ? f->queued : 0;
 }
 
 void Link::set_telemetry(Telemetry* telemetry) {
@@ -75,7 +94,7 @@ void Link::emit_packet(TraceType type, const Packet& p) const {
 void Link::drop_packet(const Packet& p) {
   dropped_bytes_ += p.wire_size;
   ++dropped_packets_;
-  if (track_flows_) flow_dropped_[p.flow] += p.wire_size;
+  if (track_flows_) flow_state(p.flow).dropped += p.wire_size;
   if (telemetry_) {
     dropped_packets_counter_.increment();
     if (telemetry_->tracing()) emit_packet(TraceType::kPacketDrop, p);
@@ -131,19 +150,20 @@ int Link::fq_victim() const {
   // choice is deterministic.
   int victim = -1;
   Bytes most = 0;
-  for (const auto& [flow, bytes] : flow_queued_) {
-    if (bytes > most) {
-      most = bytes;
-      victim = flow;
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    if (flows_[i].queued > most) {
+      most = flows_[i].queued;
+      victim = static_cast<int>(i);
     }
   }
   return victim;
 }
 
 void Link::fq_deactivate(int flow) {
-  flow_queues_.erase(flow);
-  flow_queued_.erase(flow);
-  flow_deficit_.erase(flow);
+  Flow& f = flows_[static_cast<std::size_t>(flow)];
+  f.queue.clear();
+  f.queued = 0;
+  f.deficit = 0;
   if (fq_credited_flow_ == flow) fq_credited_flow_ = -1;
   for (auto it = active_flows_.begin(); it != active_flows_.end(); ++it) {
     if (*it == flow) {
@@ -165,22 +185,22 @@ void Link::fq_enqueue(Packet p) {
       drop_packet(p);
       return;
     }
-    auto& q = flow_queues_[victim];
-    Packet shed = std::move(q.back());
-    q.pop_back();
+    Flow& v = flows_[static_cast<std::size_t>(victim)];
+    Packet shed = std::move(v.queue.back());
+    v.queue.pop_back();
     queued_bytes_ -= shed.wire_size;
-    flow_queued_[victim] -= shed.wire_size;
-    if (q.empty()) fq_deactivate(victim);
+    v.queued -= shed.wire_size;
+    if (v.queue.empty()) fq_deactivate(victim);
     drop_packet(shed);
   }
+  Flow& f = flow_state(p.flow);
   queued_bytes_ += p.wire_size;
-  flow_queued_[p.flow] += p.wire_size;
-  auto& q = flow_queues_[p.flow];
-  if (q.empty()) {
+  f.queued += p.wire_size;
+  if (f.queue.empty()) {
     active_flows_.push_back(p.flow);
-    flow_deficit_[p.flow] = 0;
+    f.deficit = 0;
   }
-  q.push_back(std::move(p));
+  f.queue.push_back(std::move(p));
 }
 
 Packet Link::fq_dequeue() {
@@ -195,13 +215,13 @@ Packet Link::fq_dequeue() {
   for (;;) {
     assert(!active_flows_.empty());
     const int flow = active_flows_.front();
-    auto& q = flow_queues_[flow];
-    assert(!q.empty());
+    Flow& f = flows_[static_cast<std::size_t>(flow)];
+    assert(!f.queue.empty());
     if (fq_credited_flow_ != flow) {
-      flow_deficit_[flow] += config_.fq_quantum;
+      f.deficit += config_.fq_quantum;
       fq_credited_flow_ = flow;
     }
-    if (flow_deficit_[flow] < q.front().wire_size) {
+    if (f.deficit < f.queue.front().wire_size) {
       // Out of credit this round; the next visit earns a fresh quantum
       // (clearing the marker also lets a lone flow re-credit until it can
       // afford a packet larger than one quantum).
@@ -210,11 +230,11 @@ Packet Link::fq_dequeue() {
       fq_credited_flow_ = -1;
       continue;
     }
-    Packet p = std::move(q.front());
-    q.pop_front();
-    flow_deficit_[flow] -= p.wire_size;
-    flow_queued_[flow] -= p.wire_size;
-    if (q.empty()) fq_deactivate(flow);
+    Packet p = std::move(f.queue.front());
+    f.queue.pop_front();
+    f.deficit -= p.wire_size;
+    f.queued -= p.wire_size;
+    if (f.queue.empty()) fq_deactivate(flow);
     return p;
   }
 }
@@ -235,15 +255,15 @@ void Link::set_down(bool down) {
   // already propagating still arrive.
   if (config_.discipline == QueueDiscipline::kFairQueue) {
     // Deterministic drop order: flows ascending, each front-to-back.
-    for (auto& [flow, q] : flow_queues_) {
-      for (Packet& p : q) {
+    for (Flow& f : flows_) {
+      for (Packet& p : f.queue) {
         queued_bytes_ -= p.wire_size;
         drop_packet(p);
       }
+      f.queue.clear();
+      f.queued = 0;
+      f.deficit = 0;
     }
-    flow_queues_.clear();
-    flow_queued_.clear();
-    flow_deficit_.clear();
     active_flows_.clear();
   } else {
     const std::size_t keep = busy_ ? 1 : 0;
@@ -322,9 +342,8 @@ void Link::on_serialized() {
                       [this, p = std::move(p)]() mutable {
                         delivered_bytes_ += p.wire_size;
                         ++delivered_packets_;
-                        if (track_flows_) {
-                          flow_delivered_[p.flow] += p.wire_size;
-                        }
+                        Flow* f = track_flows_ ? &flow_state(p.flow) : nullptr;
+                        if (f) f->delivered += p.wire_size;
                         if (telemetry_) {
                           delivered_bytes_counter_.add(
                               static_cast<double>(p.wire_size));
@@ -333,9 +352,8 @@ void Link::on_serialized() {
                             emit_packet(TraceType::kPacketDeliver, p);
                           }
                         }
-                        auto it = flow_deliver_.find(p.flow);
-                        if (it != flow_deliver_.end() && it->second) {
-                          it->second(std::move(p));
+                        if (f && f->deliver) {
+                          f->deliver(std::move(p));
                         } else if (deliver_) {
                           deliver_(std::move(p));
                         }

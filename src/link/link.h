@@ -10,10 +10,10 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "link/loss.h"
 #include "link/packet.h"
@@ -73,6 +73,10 @@ class Link {
   // Per-flow delivery demux for shared links: packets stamped with `flow`
   // route to their flow's handler; unstamped flows fall back to the default
   // handler. Registering any flow handler turns on per-flow byte accounting.
+  // Flow ids index a flat table (tenant index, 0..N-1); a negative id
+  // throws std::invalid_argument. Register handlers before traffic flows:
+  // growing the table from inside one of this link's handlers would move
+  // the handler that is running.
   void set_flow_deliver(int flow, DeliverHandler h);
   // Test hook: overrides the link's own loss stream with an external
   // uniform-draw source (used to script exact drop positions).
@@ -115,13 +119,29 @@ class Link {
   std::size_t delivered_packets() const { return delivered_packets_; }
   std::size_t dropped_packets() const { return dropped_packets_; }
   // Per-flow wire-byte attribution on shared links. Tracked whenever the
-  // discipline is kFairQueue or a flow handler is registered; 0 otherwise.
+  // discipline is kFairQueue or a flow handler is registered; 0 otherwise
+  // (and 0 for a flow the link has never seen).
   Bytes delivered_bytes_for_flow(int flow) const;
   Bytes dropped_bytes_for_flow(int flow) const;
   Bytes queued_bytes_for_flow(int flow) const;
   QueueDiscipline discipline() const { return config_.discipline; }
 
  private:
+  // Everything the link keeps per flow. A flow is active iff its queue is
+  // non-empty; a drained flow keeps its (cleared) deque for reuse.
+  struct Flow {
+    std::deque<Packet> queue;  // kFairQueue backlog
+    Bytes queued = 0;          // bytes in `queue`
+    Bytes deficit = 0;         // DRR credit
+    DeliverHandler deliver;
+    Bytes delivered = 0;
+    Bytes dropped = 0;
+  };
+
+  // The flow's state, growing the table to cover `flow`.
+  Flow& flow_state(int flow);
+  // The flow's state if the table covers it, else nullptr.
+  const Flow* find_flow(int flow) const;
   void start_serializing();
   void on_serialized();
   void drop_packet(const Packet& p);
@@ -142,19 +162,14 @@ class Link {
   std::optional<GilbertElliottLoss> ge_;
 
   std::deque<Packet> queue_;  // kFifo backlog (front = serializing when busy)
-  // kFairQueue state: per-flow backlogs, DRR deficits, and the active ring.
-  // A flow appears in every map iff its queue is non-empty; the packet being
+  // Per-flow state indexed by flow id: kFairQueue backlogs and DRR
+  // deficits, delivery handlers and byte attribution. The packet being
   // serialized is extracted into serializing_ but still counts toward
   // queued_bytes_ (it occupies the buffer until it leaves the radio).
-  std::map<int, std::deque<Packet>> flow_queues_;
-  std::map<int, Bytes> flow_queued_;
-  std::map<int, Bytes> flow_deficit_;
-  std::deque<int> active_flows_;
+  std::vector<Flow> flows_;
+  std::deque<int> active_flows_;  // DRR ring of flows with a backlog
   int fq_credited_flow_ = -1;  // front flow already credited this visit
   std::optional<Packet> serializing_;
-  std::map<int, DeliverHandler> flow_deliver_;
-  std::map<int, Bytes> flow_delivered_;
-  std::map<int, Bytes> flow_dropped_;
   bool track_flows_ = false;
 
   Bytes queued_bytes_ = 0;

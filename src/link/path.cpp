@@ -1,5 +1,7 @@
 #include "link/path.h"
 
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace mpdash {
@@ -47,7 +49,12 @@ NetPath::NetPath(PathDescription desc, Link& shared_down, Link& shared_up,
     : desc_(std::move(desc)),
       down_(&shared_down),
       up_(&shared_up),
-      flow_(flow) {}
+      flow_(flow) {
+  if (flow_ < 0) {
+    throw std::invalid_argument("path " + desc_.name +
+                                ": negative flow id " + std::to_string(flow_));
+  }
+}
 
 void NetPath::send_downlink(Packet p) {
   p.path_id = desc_.id;

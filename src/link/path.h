@@ -64,9 +64,10 @@ struct PathEndpointsConfig {
 class NetPath {
  public:
   NetPath(EventLoop& loop, PathEndpointsConfig config);
-  // Shared mode. `flow` must be unique per tenant on these links. The
-  // caller owns the links and wires their telemetry; this facade only
-  // stamps and demuxes.
+  // Shared mode. `flow` must be unique per tenant on these links and is
+  // an index into their flat per-flow tables (tenant index, 0..N-1); a
+  // negative id throws std::invalid_argument. The caller owns the links
+  // and wires their telemetry; this facade only stamps and demuxes.
   NetPath(PathDescription desc, Link& shared_down, Link& shared_up, int flow);
 
   const PathDescription& description() const { return desc_; }

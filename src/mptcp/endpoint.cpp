@@ -65,10 +65,12 @@ void MptcpEndpoint::on_subflow_failure(int path_id) {
   }
   for (auto& u : stranded) reinject_.push_back(std::move(u));
   if (failure_policy_.reprobe_interval > kDurationZero) {
-    loop_.cancel(st.reprobe_timer);
-    st.reprobe_timer = loop_.schedule_in(
-        failure_policy_.reprobe_interval,
-        [this, path_id] { revive_path(path_id); });
+    if (!loop_.rearm(st.reprobe_timer,
+                     loop_.now() + failure_policy_.reprobe_interval)) {
+      st.reprobe_timer = loop_.schedule_in(
+          failure_policy_.reprobe_interval,
+          [this, path_id] { revive_path(path_id); });
+    }
   }
   try_send();
 }

@@ -192,10 +192,17 @@ void SubflowSender::detect_losses() {
 }
 
 void SubflowSender::arm_rto() {
-  loop_.cancel(rto_timer_);
-  rto_timer_ = EventId{};
-  if (inflight_.empty()) return;
-  rto_timer_ = loop_.schedule_in(rto(), [this] { on_rto(); });
+  if (inflight_.empty()) {
+    loop_.cancel(rto_timer_);
+    rto_timer_ = EventId{};
+    return;
+  }
+  // Re-armed on every ack: moving the pending timer in place keeps the
+  // event order of cancel + schedule without churning the heap.
+  const Duration timeout = rto();
+  if (!loop_.rearm(rto_timer_, loop_.now() + timeout)) {
+    rto_timer_ = loop_.schedule_in(timeout, [this] { on_rto(); });
+  }
 }
 
 void SubflowSender::on_rto() {

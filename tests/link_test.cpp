@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "link/link.h"
@@ -333,6 +334,105 @@ TEST(FairQueue, FlowDeliverHandlersDemux) {
   EXPECT_EQ(fallback, 1);
   EXPECT_EQ(link.delivered_bytes_for_flow(1), 2000);
   EXPECT_EQ(link.delivered_bytes_for_flow(0), 1000);
+}
+
+TEST(FairQueue, SparseFlowIdsShedLongestQueueLowestIdFirst) {
+  // Flows 0, 9 and 63 hold equal backlogs in a full buffer. Each arrival
+  // from an empty flow sheds one packet from the longest queue, ties
+  // broken toward the lowest flow id: 0, then 9, then 63.
+  EventLoop loop;
+  LinkConfig cfg = fq_config();
+  cfg.rate = BandwidthTrace::constant(DataRate::mbps(1.0));
+  cfg.queue_capacity = 7000;
+  Link link(loop, cfg);
+  link.set_deliver_handler([](Packet) {});
+  link.send(flow_packet(5, 1000, 1));  // on the radio, out of flow 5's queue
+  std::uint64_t id = 10;
+  for (int flow : {63, 9, 0}) {
+    for (int i = 0; i < 2; ++i) link.send(flow_packet(flow, 1000, id++));
+  }
+  ASSERT_EQ(link.queued_bytes(), 7000);
+  link.send(flow_packet(5, 1000, id++));
+  EXPECT_EQ(link.dropped_bytes_for_flow(0), 1000);
+  EXPECT_EQ(link.dropped_bytes_for_flow(9), 0);
+  EXPECT_EQ(link.dropped_bytes_for_flow(63), 0);
+  link.send(flow_packet(6, 1000, id++));
+  EXPECT_EQ(link.dropped_bytes_for_flow(9), 1000);
+  EXPECT_EQ(link.dropped_bytes_for_flow(63), 0);
+  link.send(flow_packet(7, 1000, id++));
+  EXPECT_EQ(link.dropped_bytes_for_flow(63), 1000);
+  for (int flow : {5, 6, 7}) {
+    EXPECT_EQ(link.dropped_bytes_for_flow(flow), 0);
+    EXPECT_EQ(link.queued_bytes_for_flow(flow), 1000);
+  }
+  loop.run();
+  EXPECT_EQ(link.delivered_bytes_for_flow(5), 2000);
+  EXPECT_EQ(link.delivered_bytes(), 7000);
+}
+
+TEST(FairQueue, SetDownDropsFlowsAscendingFrontToBack) {
+  EventLoop loop;
+  Link link(loop, fq_config());
+  Telemetry telemetry;
+  TraceCollector sink;
+  telemetry.add_sink(&sink);
+  link.set_telemetry(&telemetry);
+  link.set_deliver_handler([](Packet) {});
+  auto tagged = [](int flow, std::uint64_t tag) {
+    Packet p = flow_packet(flow, 1000, tag);
+    p.data_seq = tag;
+    return p;
+  };
+  link.send(tagged(7, 1));  // serializing: dropped later, not by set_down
+  link.send(tagged(63, 2));
+  link.send(tagged(9, 3));
+  link.send(tagged(0, 4));
+  link.send(tagged(63, 5));
+  link.send(tagged(0, 6));
+  link.send(tagged(9, 7));
+  sink.clear();
+  link.set_down(true);
+  std::vector<std::uint64_t> dropped;
+  for (const TraceRecord& r : sink.records()) {
+    if (r.type == TraceType::kPacketDrop) dropped.push_back(r.data_seq);
+  }
+  EXPECT_EQ(dropped, (std::vector<std::uint64_t>{4, 6, 3, 7, 2, 5}));
+  for (int flow : {0, 9, 63}) EXPECT_EQ(link.queued_bytes_for_flow(flow), 0);
+  EXPECT_EQ(link.queued_bytes(), 1000);  // the packet on the radio
+  loop.run();
+  EXPECT_EQ(link.dropped_packets(), 7u);
+
+  // Drained flows keep working once the link is back.
+  link.set_down(false);
+  link.send(tagged(9, 8));
+  link.send(tagged(0, 9));
+  loop.run();
+  EXPECT_EQ(link.delivered_bytes_for_flow(9), 1000);
+  EXPECT_EQ(link.delivered_bytes_for_flow(0), 1000);
+}
+
+TEST(FairQueue, UnseenFlowAccessorsReturnZero) {
+  EventLoop loop;
+  Link link(loop, fq_config());
+  link.set_flow_deliver(2, [](Packet) {});
+  const Link& view = link;  // const: a lookup can never grow the table
+  for (int flow : {-7, 0, 3, 1'000'000}) {
+    EXPECT_EQ(view.delivered_bytes_for_flow(flow), 0);
+    EXPECT_EQ(view.dropped_bytes_for_flow(flow), 0);
+    EXPECT_EQ(view.queued_bytes_for_flow(flow), 0);
+  }
+}
+
+TEST(FairQueue, NegativeFlowIdThrows) {
+  EventLoop loop;
+  Link down(loop, fq_config());
+  Link up(loop, fq_config());
+  EXPECT_THROW(down.set_flow_deliver(-1, [](Packet) {}),
+               std::invalid_argument);
+  PathDescription desc;
+  desc.name = "wifi";
+  EXPECT_THROW(NetPath(desc, down, up, -3), std::invalid_argument);
+  EXPECT_NO_THROW(NetPath(desc, down, up, 0));
 }
 
 }  // namespace

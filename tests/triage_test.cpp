@@ -109,11 +109,16 @@ TEST(FaultPlanJson, RejectsMalformedInput) {
 
 // --- watchdog ------------------------------------------------------------
 
-// A zero-delay self-rescheduling event: the canonical livelock.
+// A zero-delay self-rescheduling event: the canonical livelock. Each tick
+// schedules a copy of itself and owns nothing, so a loop torn down
+// mid-livelock frees every pending tick.
+struct LivelockTick {
+  EventLoop* loop;
+  void operator()() const { loop->schedule_in(kDurationZero, *this); }
+};
+
 void livelock(EventLoop& loop) {
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [&loop, tick] { loop.schedule_in(kDurationZero, *tick); };
-  loop.schedule_in(kDurationZero, *tick);
+  loop.schedule_in(kDurationZero, LivelockTick{&loop});
 }
 
 TEST(Watchdog, SimEventBudgetKillsLivelock) {
