@@ -27,11 +27,6 @@ struct PathPolicy {
       default: return other_cost;
     }
   }
-
-  // Applies this policy's costs to a set of path descriptions.
-  void apply(std::vector<PathDescription>& paths) const {
-    for (auto& p : paths) p.unit_cost = cost_for(p.kind);
-  }
 };
 
 inline PathPolicy prefer_wifi_policy() {

@@ -109,7 +109,6 @@ class DashPlayer {
   const std::optional<Video>& video() const { return video_; }
   const std::vector<PlayerEvent>& events() const { return events_; }
   const std::vector<ChunkRecord>& chunks() const { return chunk_log_; }
-  const PlaybackBuffer* buffer() const { return buffer_ ? &*buffer_ : nullptr; }
 
   int stall_count() const { return stall_count_; }
   Duration total_stall_time() const { return total_stall_; }

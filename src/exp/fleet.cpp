@@ -85,7 +85,6 @@ FleetResult run_fleet(const FleetConfig& cfg, Telemetry* telemetry) {
   // with its derived seed, a private telemetry context for the counter
   // audit, and a join at i × join_stagger.
   std::vector<FleetSessionResult> rows(static_cast<std::size_t>(n));
-  std::deque<NetPath> facades;
   std::deque<Telemetry> telemetries(rows.size());
   std::vector<Tenant> tenants(rows.size());
   const SessionSpec default_spec;
@@ -99,10 +98,7 @@ FleetResult run_fleet(const FleetConfig& cfg, Telemetry* telemetry) {
     sr.scheme = spec.scheme;
     sr.adaptation = spec.adaptation;
     Tenant& t = tenants[k];
-    for (NetPath* shared : net.paths()) {
-      t.paths.push_back(&facades.emplace_back(
-          shared->description(), shared->downlink(), shared->uplink(), i));
-    }
+    t.paths = net.paths(i);
     t.config = resolve_session_config(spec, sr.seed);
     t.telemetry = &telemetries[k];
     t.join = TimePoint(cfg.join_stagger * i);

@@ -58,13 +58,13 @@ bool fleet_config_from_json_value(const JsonValue& root, FleetConfig* out,
     }
     return false;
   };
-  const JsonValue* v = root.find("sessions");
-  if (v == nullptr || !v->is_number()) return bad("sessions");
-  c.sessions = static_cast<int>(v->as_int64(4));
-  v = root.find("chunk_count");
-  if (v == nullptr || !v->is_number()) return bad("chunk_count");
-  c.chunk_count = static_cast<int>(v->as_int64(20));
-  v = root.find("mix");
+  if (!json_integer(root.find("sessions"), &c.sessions, 1)) {
+    return bad("sessions");
+  }
+  if (!json_integer(root.find("chunk_count"), &c.chunk_count, 1)) {
+    return bad("chunk_count");
+  }
+  const JsonValue* v = root.find("mix");
   if (v == nullptr || !v->is_array()) return bad("mix");
   c.mix.clear();
   for (const JsonValue& item : v->items) {
@@ -85,9 +85,9 @@ bool fleet_config_from_json_value(const JsonValue& root, FleetConfig* out,
   } else {
     return bad("discipline");
   }
-  v = root.find("fq_quantum");
-  if (v == nullptr || !v->is_number() ||
-      v->as_int64(0) != LinkConfig{}.fq_quantum) {
+  Bytes fq_quantum = 0;
+  if (!json_integer(root.find("fq_quantum"), &fq_quantum) ||
+      fq_quantum != LinkConfig{}.fq_quantum) {
     return bad("fq_quantum");
   }
   auto read_double = [&root, &bad](const char* name, double* field) {
@@ -100,21 +100,19 @@ bool fleet_config_from_json_value(const JsonValue& root, FleetConfig* out,
   if (!read_double("lte_mbps", &c.lte_mbps)) return false;
   if (!read_double("wifi_up_mbps", &c.wifi_up_mbps)) return false;
   if (!read_double("lte_up_mbps", &c.lte_up_mbps)) return false;
-  v = root.find("wifi_rtt_ns");
-  if (v == nullptr || !v->is_number()) return bad("wifi_rtt_ns");
-  c.wifi_rtt = Duration(v->as_int64(0));
-  v = root.find("lte_rtt_ns");
-  if (v == nullptr || !v->is_number()) return bad("lte_rtt_ns");
-  c.lte_rtt = Duration(v->as_int64(0));
-  v = root.find("queue_capacity");
-  if (v == nullptr || !v->is_number()) return bad("queue_capacity");
-  c.queue_capacity = v->as_int64(0);
-  v = root.find("join_stagger_ns");
-  if (v == nullptr || !v->is_number()) return bad("join_stagger_ns");
-  c.join_stagger = Duration(v->as_int64(0));
-  v = root.find("time_limit_ns");
-  if (v == nullptr || !v->is_number()) return bad("time_limit_ns");
-  c.time_limit = Duration(v->as_int64(0));
+  auto read_ns = [&root, &bad](const char* name, Duration* field) {
+    std::int64_t ns = 0;
+    if (!json_integer(root.find(name), &ns)) return bad(name);
+    *field = Duration(ns);
+    return true;
+  };
+  if (!read_ns("wifi_rtt_ns", &c.wifi_rtt)) return false;
+  if (!read_ns("lte_rtt_ns", &c.lte_rtt)) return false;
+  if (!json_integer(root.find("queue_capacity"), &c.queue_capacity)) {
+    return bad("queue_capacity");
+  }
+  if (!read_ns("join_stagger_ns", &c.join_stagger)) return false;
+  if (!read_ns("time_limit_ns", &c.time_limit)) return false;
   if (const char* field =
           watchdog_from_json_value(root.find("watchdog"), &c.watchdog)) {
     return bad(field);
@@ -180,17 +178,17 @@ bool repro_bundle_from_json(const std::string& text, ReproBundle* out,
   auto missing = [&fail](const char* field) {
     return fail(std::string("missing field \"") + field + "\"");
   };
+  auto bad = [&fail](const char* field) {
+    return fail(std::string("missing or bad \"") + field + "\"");
+  };
 
   ReproBundle b;
-  const JsonValue* v = root.find("schema");
-  if (v == nullptr || !v->is_number()) return missing("schema");
-  b.schema = static_cast<int>(v->as_int64(1));
+  if (!json_integer(root.find("schema"), &b.schema, 1)) return bad("schema");
   if (b.schema != 1 && (fleet || b.schema != 2)) {
     return fail("unsupported schema " + std::to_string(b.schema));
   }
-  v = root.find("seed");
-  if (v == nullptr || !v->is_number()) return missing("seed");
-  b.seed = v->as_uint64(0);
+  if (!json_integer(root.find("seed"), &b.seed)) return bad("seed");
+  const JsonValue* v = nullptr;
   if (fleet) {
     v = root.find("config");
     if (v == nullptr) return missing("config");
@@ -217,28 +215,33 @@ bool repro_bundle_from_json(const std::string& text, ReproBundle* out,
     v = root.find("mptcp_scheduler");
     if (v != nullptr && v->is_string()) b.spec.mptcp_scheduler = v->str;
     v = root.find("inflight");
-    if (v != nullptr && v->is_number()) {
-      b.spec.inflight = static_cast<int>(v->as_int64(1));
+    if (v != nullptr && !json_integer(v, &b.spec.inflight)) {
+      return bad("inflight");
     }
     v = root.find("recovery");
     if (v != nullptr && v->is_bool()) b.spec.recovery = v->boolean;
-    v = root.find("time_limit_ns");
-    if (v == nullptr || !v->is_number()) return missing("time_limit_ns");
-    b.spec.time_limit = Duration(v->as_int64(0));
+    std::int64_t time_limit_ns = 0;
+    if (!json_integer(root.find("time_limit_ns"), &time_limit_ns)) {
+      return bad("time_limit_ns");
+    }
+    b.spec.time_limit = Duration(time_limit_ns);
     v = root.find("watchdog");
     if (v != nullptr && v->is_object()) {
       const JsonValue* w = v->find("max_sim_events");
-      if (w != nullptr) b.spec.watchdog.max_sim_events = w->as_uint64(0);
+      if (w != nullptr &&
+          !json_integer(w, &b.spec.watchdog.max_sim_events)) {
+        return bad("watchdog.max_sim_events");
+      }
       w = v->find("max_wall_s");
       if (w != nullptr) b.spec.watchdog.max_wall_s = w->as_double(0.0);
       w = v->find("poll_interval");
-      if (w != nullptr) b.spec.watchdog.poll_interval = w->as_uint64(4096);
+      if (w != nullptr && !json_integer(w, &b.spec.watchdog.poll_interval)) {
+        return bad("watchdog.poll_interval");
+      }
     }
   }
-  if (!fleet) {
-    v = root.find("chunk_count");
-    if (v == nullptr || !v->is_number()) return missing("chunk_count");
-    b.chunk_count = static_cast<int>(v->as_int64(0));
+  if (!fleet && !json_integer(root.find("chunk_count"), &b.chunk_count, 1)) {
+    return bad("chunk_count");
   }
   v = root.find("plan");
   if (v == nullptr) return missing("plan");

@@ -3,7 +3,7 @@
 // with configurable bandwidth traces, RTTs, and the optional cellular
 // throttle of Table 4.
 
-#include <memory>
+#include <deque>
 #include <optional>
 #include <vector>
 
@@ -37,7 +37,8 @@ struct ScenarioConfig {
   // derive_stream_seed(seed, "wifi"/"lte" + ".down"/".up"), so loss on one
   // link never perturbs another's pattern.
   std::uint64_t seed = 1;
-  std::optional<ShaperConfig> lte_throttle;  // Table 4 strawman
+  // Table 4 strawman; the Scenario names it "lte" whatever its `name`.
+  std::optional<ShaperConfig> lte_throttle;
   PathPolicy policy = prefer_wifi_policy();
   bool wifi_only = false;  // single-path baseline (Figure 11 bottom)
 };
@@ -51,30 +52,38 @@ ScenarioConfig constant_scenario(DataRate wifi_mbps, DataRate lte_mbps);
 ScenarioConfig location_scenario(const LocationProfile& loc,
                                  Duration horizon);
 
-// Owns the event loop and the paths for one experiment run.
+// Owns the event loop and the network of one experiment run: the wifi and
+// lte down/up links (link id = 2 × path id, +1 for the uplink; names
+// "wifi.down", "wifi.up", "lte.down", "lte.up") and the optional lte
+// throttle in front of the lte downlink (metrics `shaper.lte.*`).
+// Connections ride the links through per-flow NetPath facades: a single
+// session is flow 0, fleet tenant i is flow i.
 class Scenario {
  public:
   explicit Scenario(ScenarioConfig config);
 
   EventLoop& loop() { return loop_; }
-  std::vector<NetPath*> paths();
-  NetPath& wifi() { return *wifi_; }
-  NetPath* cellular() { return lte_ ? lte_.get() : nullptr; }
+  // Flow `flow`'s facades, wifi first. Each flow's facades are built on
+  // first request and live as long as the scenario; request every flow
+  // before traffic starts. A negative flow throws std::invalid_argument.
+  std::vector<NetPath*> paths(int flow = 0);
   const ScenarioConfig& config() const { return config_; }
 
-  // Wires telemetry into the event loop and every link/shaper. nullptr
-  // detaches.
+  // Wires telemetry into the event loop, every link and the throttle.
+  // nullptr detaches.
   void set_telemetry(Telemetry* telemetry);
 
-  // Bytes that crossed each interface (both directions, delivered).
+  // Bytes that crossed each interface (both directions, every flow).
   Bytes wifi_bytes() const;
   Bytes cellular_bytes() const;
 
  private:
   ScenarioConfig config_;
   EventLoop loop_;
-  std::unique_ptr<NetPath> wifi_;
-  std::unique_ptr<NetPath> lte_;
+  std::vector<PathDescription> descs_;  // wifi, then lte unless wifi_only
+  std::deque<Link> links_;              // indexed by link id
+  std::optional<TokenBucketShaper> lte_throttle_;
+  std::deque<NetPath> facades_;  // flow-major: flow f, path k at f·n + k
 };
 
 }  // namespace mpdash

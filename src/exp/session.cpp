@@ -55,7 +55,10 @@ class EnergyProbe {
   // energy model's horizon starts at the measured transfer, not at
   // simulation time zero.
   EnergyProbe(Scenario& scenario, const bool& done)
-      : scenario_(scenario), done_(done), base_(scenario.loop().now()) {
+      : scenario_(scenario),
+        paths_(scenario.paths()),
+        done_(done),
+        base_(scenario.loop().now()) {
     prev_ = read();
     arm();
   }
@@ -68,13 +71,13 @@ class EnergyProbe {
     Bytes wifi_down = 0, wifi_up = 0, lte_down = 0, lte_up = 0;
   };
 
+  // Whole-link counters: the radios carry every flow's bytes.
   Counters read() const {
     Counters c;
-    c.wifi_down = scenario_.wifi().downlink().delivered_bytes();
-    c.wifi_up = scenario_.wifi().uplink().delivered_bytes();
-    if (NetPath* lte = scenario_.cellular()) {
-      c.lte_down = lte->downlink().delivered_bytes();
-      c.lte_up = lte->uplink().delivered_bytes();
+    for (const NetPath* p : paths_) {
+      const bool wifi = p->id() == kWifiPathId;
+      (wifi ? c.wifi_down : c.lte_down) = p->downlink().delivered_bytes();
+      (wifi ? c.wifi_up : c.lte_up) = p->uplink().delivered_bytes();
     }
     return c;
   }
@@ -101,6 +104,7 @@ class EnergyProbe {
   }
 
   Scenario& scenario_;
+  std::vector<NetPath*> paths_;
   const bool& done_;
   TimePoint base_;
   Counters prev_;
@@ -227,8 +231,8 @@ SessionResult Tenancy::collect(std::size_t i) const {
   res.completed = s.done;
   res.session_s =
       to_seconds((s.done ? s.finish : loop_.now()) - s.tenant.join);
-  // Per-flow slices on shared links, whole-link counters on owned ones,
-  // over every path the tenant was given (even one wifi-only leaves idle).
+  // The tenant's per-flow slices over every path it was given (even one
+  // wifi-only leaves idle).
   for (const NetPath* p : s.tenant.paths) {
     (p->id() == kWifiPathId ? res.wifi_bytes : res.cell_bytes) +=
         p->delivered_wire_bytes();

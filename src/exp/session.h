@@ -130,8 +130,8 @@ struct SessionResult {
   std::uint64_t server_bytes_in_order = 0;
 };
 
-// One tenant of a streaming run: the paths its connection rides (a
-// Scenario's own paths, or per-flow facades onto shared links), its
+// One tenant of a streaming run: the paths its connection rides (its
+// flow's facades onto a Scenario's links), its
 // resolved config, the telemetry its stack instruments into (borrowed;
 // null = none) and the instant it starts its manifest fetch.
 struct Tenant {

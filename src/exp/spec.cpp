@@ -24,15 +24,15 @@ std::string watchdog_to_json(const WatchdogConfig& w) {
 
 const char* watchdog_from_json_value(const JsonValue* v, WatchdogConfig* out) {
   if (v == nullptr || !v->is_object()) return "watchdog";
-  const JsonValue* w = v->find("max_sim_events");
-  if (w == nullptr || !w->is_number()) return "watchdog.max_sim_events";
-  out->max_sim_events = w->as_uint64(0);
-  w = v->find("max_wall_s");
+  if (!json_integer(v->find("max_sim_events"), &out->max_sim_events)) {
+    return "watchdog.max_sim_events";
+  }
+  const JsonValue* w = v->find("max_wall_s");
   if (w == nullptr || !w->is_number()) return "watchdog.max_wall_s";
   out->max_wall_s = w->as_double(0.0);
-  w = v->find("poll_interval");
-  if (w == nullptr || !w->is_number()) return "watchdog.poll_interval";
-  out->poll_interval = w->as_uint64(4096);
+  if (!json_integer(v->find("poll_interval"), &out->poll_interval)) {
+    return "watchdog.poll_interval";
+  }
   return nullptr;
 }
 
@@ -82,9 +82,9 @@ bool session_spec_from_json_value(const JsonValue& root, SessionSpec* out,
   v = root.find("alpha");
   if (v == nullptr || !v->is_number()) return bad("alpha");
   s.alpha = v->as_double(1.0);
-  v = root.find("debounce_ticks");
-  if (v == nullptr || !v->is_number()) return bad("debounce_ticks");
-  s.debounce_ticks = static_cast<int>(v->as_int64(2));
+  if (!json_integer(root.find("debounce_ticks"), &s.debounce_ticks)) {
+    return bad("debounce_ticks");
+  }
   v = root.find("scenario");
   if (v == nullptr || !v->is_object()) return bad("scenario");
   {
@@ -95,12 +95,12 @@ bool session_spec_from_json_value(const JsonValue& root, SessionSpec* out,
     if (w == nullptr || !w->is_number()) return bad("scenario.lte_mbps");
     s.scenario.lte_mbps = w->as_double(4.0);
   }
-  v = root.find("inflight");
-  if (v == nullptr || !v->is_number()) return bad("inflight");
-  s.inflight = static_cast<int>(v->as_int64(1));
-  v = root.find("max_chunk_attempts");
-  if (v == nullptr || !v->is_number()) return bad("max_chunk_attempts");
-  s.max_chunk_attempts = static_cast<int>(v->as_int64(3));
+  if (!json_integer(root.find("inflight"), &s.inflight)) {
+    return bad("inflight");
+  }
+  if (!json_integer(root.find("max_chunk_attempts"), &s.max_chunk_attempts)) {
+    return bad("max_chunk_attempts");
+  }
   v = root.find("buffer_capacity_s");
   if (v == nullptr || !v->is_number()) return bad("buffer_capacity_s");
   s.buffer_capacity_s = v->as_double(40.0);
@@ -110,9 +110,11 @@ bool session_spec_from_json_value(const JsonValue& root, SessionSpec* out,
   v = root.find("recovery");
   if (v == nullptr || !v->is_bool()) return bad("recovery");
   s.recovery = v->boolean;
-  v = root.find("time_limit_ns");
-  if (v == nullptr || !v->is_number()) return bad("time_limit_ns");
-  s.time_limit = Duration(v->as_int64(0));
+  std::int64_t time_limit_ns = 0;
+  if (!json_integer(root.find("time_limit_ns"), &time_limit_ns)) {
+    return bad("time_limit_ns");
+  }
+  s.time_limit = Duration(time_limit_ns);
   if (const char* field =
           watchdog_from_json_value(root.find("watchdog"), &s.watchdog)) {
     return bad(field);

@@ -77,18 +77,19 @@ bool fault_event_from_json(const JsonValue& v, FaultEvent* out,
     }
     return false;
   }
-  const JsonValue* at = v.find("at_ns");
-  const JsonValue* dur = v.find("duration_ns");
-  if (at == nullptr || !at->is_number() || dur == nullptr ||
-      !dur->is_number()) {
+  // Integer nanosecond counts round-trip exactly (no float in the path).
+  std::int64_t at_ns = 0, duration_ns = 0;
+  if (!json_integer(v.find("at_ns"), &at_ns) ||
+      !json_integer(v.find("duration_ns"), &duration_ns)) {
     if (error) *error = "fault event: missing at_ns/duration_ns";
     return false;
   }
-  // Integer nanosecond counts round-trip exactly (no float in the path).
-  out->at = TimePoint(Duration(at->as_int64()));
-  out->duration = Duration(dur->as_int64());
-  if (const JsonValue* path = v.find("path"); path != nullptr) {
-    out->path_id = static_cast<int>(path->as_int64());
+  out->at = TimePoint(Duration(at_ns));
+  out->duration = Duration(duration_ns);
+  if (const JsonValue* path = v.find("path");
+      path != nullptr && !json_integer(path, &out->path_id)) {
+    if (error) *error = "fault event: bad \"path\"";
+    return false;
   }
   if (const JsonValue* val = v.find("value"); val != nullptr) {
     out->value = val->as_double();

@@ -190,7 +190,6 @@ void HttpStreamParser::parse_head(const std::string& head) {
 void HttpStreamParser::finish_message() {
   state_ = State::kHead;
   body_remaining_ = 0;
-  ++completed_;
   if (cb_.on_message_complete) cb_.on_message_complete();
 }
 

@@ -53,7 +53,6 @@ class HttpStreamParser {
   void consume(const WireData& data);
 
   bool mid_message() const { return state_ != State::kHead || !head_buf_.empty(); }
-  std::size_t messages_completed() const { return completed_; }
   HttpParseError error() const { return error_; }
   bool ok() const { return error_ == HttpParseError::kNone; }
 
@@ -69,7 +68,6 @@ class HttpStreamParser {
   State state_ = State::kHead;
   std::string head_buf_;
   Bytes body_remaining_ = 0;
-  std::size_t completed_ = 0;
   HttpParseError error_ = HttpParseError::kNone;
 };
 

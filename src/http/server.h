@@ -27,7 +27,6 @@ class HttpServer {
 
   std::size_t requests_served() const { return served_; }
   std::size_t requests_dropped() const { return dropped_; }
-  HttpParseError parse_error() const { return parser_.error(); }
 
   // --- fault hooks -----------------------------------------------------
   // Stalled: requests are still parsed and handled, but responses queue

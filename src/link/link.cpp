@@ -14,7 +14,6 @@ Link::Link(EventLoop& loop, LinkConfig config)
   }
   if (config_.ge_loss) ge_.emplace(*config_.ge_loss);
   if (config_.fq_quantum < 1) config_.fq_quantum = 1;
-  track_flows_ = config_.discipline == QueueDiscipline::kFairQueue;
 }
 
 Link::Flow& Link::flow_state(int flow) {
@@ -35,9 +34,7 @@ const Link::Flow* Link::find_flow(int flow) const {
 }
 
 void Link::set_flow_deliver(int flow, DeliverHandler h) {
-  Flow& f = flow_state(flow);
-  track_flows_ = true;
-  f.deliver = std::move(h);
+  flow_state(flow).deliver = std::move(h);
 }
 
 Bytes Link::delivered_bytes_for_flow(int flow) const {
@@ -94,7 +91,7 @@ void Link::emit_packet(TraceType type, const Packet& p) const {
 void Link::drop_packet(const Packet& p) {
   dropped_bytes_ += p.wire_size;
   ++dropped_packets_;
-  if (track_flows_) flow_state(p.flow).dropped += p.wire_size;
+  flow_state(p.flow).dropped += p.wire_size;
   if (telemetry_) {
     dropped_packets_counter_.increment();
     if (telemetry_->tracing()) emit_packet(TraceType::kPacketDrop, p);
@@ -342,8 +339,8 @@ void Link::on_serialized() {
                       [this, p = std::move(p)]() mutable {
                         delivered_bytes_ += p.wire_size;
                         ++delivered_packets_;
-                        Flow* f = track_flows_ ? &flow_state(p.flow) : nullptr;
-                        if (f) f->delivered += p.wire_size;
+                        Flow& f = flow_state(p.flow);
+                        f.delivered += p.wire_size;
                         if (telemetry_) {
                           delivered_bytes_counter_.add(
                               static_cast<double>(p.wire_size));
@@ -352,11 +349,7 @@ void Link::on_serialized() {
                             emit_packet(TraceType::kPacketDeliver, p);
                           }
                         }
-                        if (f && f->deliver) {
-                          f->deliver(std::move(p));
-                        } else if (deliver_) {
-                          deliver_(std::move(p));
-                        }
+                        if (f.deliver) f.deliver(std::move(p));
                       });
   }
 

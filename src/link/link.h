@@ -2,6 +2,10 @@
 // One-way link with a time-varying rate, propagation delay, and a drop-tail
 // queue — the simulator's equivalent of a shaped WiFi or LTE hop.
 //
+// Every packet carries a flow id, and a link delivers through one per-flow
+// table: each flow has its own delivery handler and byte accounting. A
+// lone connection is flow 0; fleet tenant i is flow i on the same links.
+//
 // Besides the static configuration, a link exposes a dynamic impairment
 // surface (down/up, rate scaling, extra latency, loss-model swaps) that the
 // fault-injection layer (src/fault) drives at scheduled times to reproduce
@@ -69,14 +73,12 @@ class Link {
   // missing ACKs.
   void send(Packet p);
 
-  void set_deliver_handler(DeliverHandler h) { deliver_ = std::move(h); }
-  // Per-flow delivery demux for shared links: packets stamped with `flow`
-  // route to their flow's handler; unstamped flows fall back to the default
-  // handler. Registering any flow handler turns on per-flow byte accounting.
-  // Flow ids index a flat table (tenant index, 0..N-1); a negative id
-  // throws std::invalid_argument. Register handlers before traffic flows:
-  // growing the table from inside one of this link's handlers would move
-  // the handler that is running.
+  // Delivery demux: packets stamped with `flow` go to that flow's handler;
+  // a flow with no handler is counted and discarded. Flow ids index a flat
+  // table (connection index, 0..N-1); a negative id throws
+  // std::invalid_argument. Register handlers before traffic flows: growing
+  // the table from inside one of this link's handlers would move the
+  // handler that is running.
   void set_flow_deliver(int flow, DeliverHandler h);
   // Test hook: overrides the link's own loss stream with an external
   // uniform-draw source (used to script exact drop positions).
@@ -97,8 +99,6 @@ class Link {
   // spike). Applies to deliveries scheduled after the call.
   void set_extra_delay(Duration extra) { extra_delay_ = extra; }
   Duration extra_delay() const { return extra_delay_; }
-  // Replaces the i.i.d. loss probability at runtime (loss burst window).
-  void set_random_loss(double p) { config_.random_loss = p; }
   double random_loss() const { return config_.random_loss; }
   // Installs/clears the Gilbert–Elliott burst model at runtime. The chain
   // restarts in the Good state.
@@ -110,7 +110,6 @@ class Link {
 
   int id() const { return config_.id; }
   const std::string& name() const { return config_.name; }
-  const BandwidthTrace& rate_trace() const { return config_.rate; }
   Duration propagation_delay() const { return config_.propagation_delay; }
 
   Bytes queued_bytes() const { return queued_bytes_; }
@@ -118,9 +117,7 @@ class Link {
   Bytes dropped_bytes() const { return dropped_bytes_; }
   std::size_t delivered_packets() const { return delivered_packets_; }
   std::size_t dropped_packets() const { return dropped_packets_; }
-  // Per-flow wire-byte attribution on shared links. Tracked whenever the
-  // discipline is kFairQueue or a flow handler is registered; 0 otherwise
-  // (and 0 for a flow the link has never seen).
+  // Per-flow wire-byte attribution; 0 for a flow the link has never seen.
   Bytes delivered_bytes_for_flow(int flow) const;
   Bytes dropped_bytes_for_flow(int flow) const;
   Bytes queued_bytes_for_flow(int flow) const;
@@ -156,7 +153,6 @@ class Link {
 
   EventLoop& loop_;
   LinkConfig config_;
-  DeliverHandler deliver_;
   std::function<double()> loss_rng_;  // optional test override
   Rng rng_;
   std::optional<GilbertElliottLoss> ge_;
@@ -170,7 +166,6 @@ class Link {
   std::deque<int> active_flows_;  // DRR ring of flows with a backlog
   int fq_credited_flow_ = -1;  // front flow already credited this visit
   std::optional<Packet> serializing_;
-  bool track_flows_ = false;
 
   Bytes queued_bytes_ = 0;
   bool busy_ = false;

@@ -35,8 +35,8 @@ struct Packet {
   std::uint64_t id = 0;  // unique within one simulation (EventLoop-issued)
   PacketKind kind = PacketKind::kData;
   int path_id = -1;
-  // Flow id on a shared link (fleet workloads multiplex one link across
-  // sessions). 0 for single-tenant links; stamped by the NetPath facade.
+  // Flow id on its links, stamped by the NetPath facade: 0 for a single
+  // session, i for fleet tenant i.
   int flow = 0;
   // Causal span of the chunk request this packet serves (0 = none).
   // Stamped at send time so delivery/drop records attribute to the span

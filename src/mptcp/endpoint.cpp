@@ -350,13 +350,6 @@ const SubflowSender& MptcpEndpoint::subflow(int path_id) const {
   return *path_state(path_id).sender;
 }
 
-std::vector<int> MptcpEndpoint::path_ids() const {
-  std::vector<int> ids;
-  ids.reserve(paths_.size());
-  for (const auto& [id, st] : paths_) ids.push_back(id);
-  return ids;
-}
-
 MptcpEndpoint::PathState& MptcpEndpoint::path_state(int path_id) {
   auto it = paths_.find(path_id);
   if (it == paths_.end()) throw std::out_of_range("unknown path id");

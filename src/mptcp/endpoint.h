@@ -102,7 +102,6 @@ class MptcpEndpoint {
   // (tests; also what the server applies on signal receipt).
   void set_send_mask(std::uint32_t mask);
   std::uint32_t send_mask() const { return send_mask_; }
-  std::uint32_t signaled_mask() const { return signal_mask_; }
 
   // --- receive-side statistics ----------------------------------------
   Bytes delivered_payload_bytes(int path_id) const;
@@ -117,13 +116,10 @@ class MptcpEndpoint {
   // idle intervals count as zero-throughput samples (between chunks the
   // network is idle by design and must not drag the estimate down).
   void set_sampling_active(bool active);
-  bool sampling_active() const { return sampling_active_; }
 
   // --- sender-side accessors ------------------------------------------
   SubflowSender& subflow(int path_id);
   const SubflowSender& subflow(int path_id) const;
-  std::vector<int> path_ids() const;
-  Bytes send_backlog() const { return send_buffer_.size(); }
   std::uint64_t bytes_received_in_order() const { return next_expected_; }
   // One past the highest connection-level byte ever scheduled onto a
   // subflow; with an empty backlog this equals total bytes sent.

@@ -27,7 +27,6 @@ namespace mpdash {
 // to cancel (no-op).
 struct EventId {
   std::uint64_t value = 0;
-  bool valid() const { return value != 0; }
 };
 
 class EventLoop {

@@ -96,7 +96,6 @@ void SubflowSender::send_data(std::uint64_t data_seq, Bytes len,
       seq, SentPacket{data_seq, len, std::move(segments), loop_.now(), span});
   assert(inserted);
   transmit_packet(seq, it->second, /*retransmit=*/false);
-  bytes_sent_ += len;
   arm_rto();
 }
 

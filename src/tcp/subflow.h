@@ -92,7 +92,6 @@ class SubflowSender {
   Duration srtt() const { return srtt_; }
   Duration rto() const;
   std::size_t inflight_packets() const { return inflight_.size(); }
-  Bytes bytes_sent() const { return bytes_sent_; }
   Bytes bytes_acked() const { return bytes_acked_; }
   std::size_t retransmissions() const { return retransmissions_; }
   std::size_t timeouts() const { return timeouts_; }
@@ -138,7 +137,6 @@ class SubflowSender {
   int consecutive_timeouts_ = 0;
   EventId rto_timer_;
 
-  Bytes bytes_sent_ = 0;
   Bytes bytes_acked_ = 0;
   std::size_t retransmissions_ = 0;
   std::size_t timeouts_ = 0;

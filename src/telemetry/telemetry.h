@@ -53,11 +53,6 @@ class Telemetry {
   SpanId active_span() const {
     return span_stack_.empty() ? 0 : span_stack_.back();
   }
-  std::size_t open_span_count() const { return span_stack_.size(); }
-  bool span_is_open(SpanId id) const {
-    return std::find(span_stack_.begin(), span_stack_.end(), id) !=
-           span_stack_.end();
-  }
 
   void emit(TraceRecord& r) {
     if (r.span == 0) r.span = active_span();

@@ -37,14 +37,10 @@ class BandwidthTrace {
   // utilization; Duration::max()-based sentinel (TimePoint::max()) if never.
   TimePoint time_to_deliver(TimePoint from, Bytes bytes) const;
 
-  // Duration covered by explicit points (start of last segment).
-  TimePoint last_change() const;
-
   // When set, times are taken modulo `period` (for replaying short field
   // traces under long experiments).
   void set_loop(Duration period);
   bool looped() const { return loop_period_ > kDurationZero; }
-  Duration loop_period() const { return loop_period_; }
 
   const std::vector<RatePoint>& points() const { return points_; }
 

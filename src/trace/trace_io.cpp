@@ -1,7 +1,6 @@
 #include "trace/trace_io.h"
 
 #include <cstdio>
-#include <fstream>
 #include <stdexcept>
 
 #include "util/csv.h"
@@ -38,13 +37,6 @@ BandwidthTrace trace_from_csv(const std::string& csv) {
     pts.push_back({seconds(t), DataRate::mbps(mbps)});
   }
   return BandwidthTrace(std::move(pts));
-}
-
-bool save_trace(const BandwidthTrace& trace, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  out << trace_to_csv(trace);
-  return static_cast<bool>(out);
 }
 
 BandwidthTrace load_trace(const std::string& path) {

@@ -21,30 +21,6 @@ double JsonValue::as_double(double fallback) const {
   return res.ec == std::errc() ? v : fallback;
 }
 
-std::int64_t JsonValue::as_int64(std::int64_t fallback) const {
-  if (type != Type::kNumber) return fallback;
-  std::int64_t v = fallback;
-  const auto res = std::from_chars(number.data(),
-                                   number.data() + number.size(), v);
-  return res.ec == std::errc() && res.ptr == number.data() + number.size()
-             ? v
-             : fallback;
-}
-
-std::uint64_t JsonValue::as_uint64(std::uint64_t fallback) const {
-  if (type != Type::kNumber) return fallback;
-  std::uint64_t v = fallback;
-  const auto res = std::from_chars(number.data(),
-                                   number.data() + number.size(), v);
-  return res.ec == std::errc() && res.ptr == number.data() + number.size()
-             ? v
-             : fallback;
-}
-
-bool JsonValue::as_bool(bool fallback) const {
-  return type == Type::kBool ? boolean : fallback;
-}
-
 namespace {
 
 constexpr int kMaxDepth = 64;

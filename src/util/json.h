@@ -9,9 +9,12 @@
 // Deliberately not a general-purpose library: no streaming, no SAX, no
 // allocator hooks — parse a whole document, walk the tree, done.
 
+#include <charconv>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -35,7 +38,6 @@ struct JsonValue {
   std::vector<std::pair<std::string, JsonValue>> members;  // kObject,
                                                            // insertion order
 
-  bool is_null() const { return type == Type::kNull; }
   bool is_object() const { return type == Type::kObject; }
   bool is_array() const { return type == Type::kArray; }
   bool is_string() const { return type == Type::kString; }
@@ -45,13 +47,27 @@ struct JsonValue {
   // Member lookup; nullptr when absent or not an object.
   const JsonValue* find(std::string_view key) const;
 
-  // Scalar accessors: fall back when the value has the wrong type or the
-  // literal does not parse.
+  // Falls back when the value is not a number or the literal does not
+  // parse.
   double as_double(double fallback = 0.0) const;
-  std::int64_t as_int64(std::int64_t fallback = 0) const;
-  std::uint64_t as_uint64(std::uint64_t fallback = 0) const;
-  bool as_bool(bool fallback = false) const;
 };
+
+// Reads `v` (may be null) as a whole number that fits `Int` and is at
+// least `min`. Returns false, leaving *out unchanged, for a missing value,
+// a non-number, a fraction or exponent form, or a value out of range: the
+// triage readers reject such a field instead of running some other value.
+template <typename Int>
+bool json_integer(const JsonValue* v, Int* out,
+                  std::type_identity_t<Int> min =
+                      std::numeric_limits<Int>::min()) {
+  if (v == nullptr || !v->is_number()) return false;
+  const char* end = v->number.data() + v->number.size();
+  Int parsed{};
+  const auto res = std::from_chars(v->number.data(), end, parsed);
+  if (res.ec != std::errc() || res.ptr != end || parsed < min) return false;
+  *out = parsed;
+  return true;
+}
 
 // Parses exactly one JSON document (trailing whitespace allowed, trailing
 // garbage is an error). On failure returns false and fills *error with

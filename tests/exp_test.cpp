@@ -10,15 +10,16 @@ namespace {
 
 TEST(Scenario, ConstantScenarioWiring) {
   Scenario sc(constant_scenario(DataRate::mbps(5.0), DataRate::mbps(2.0)));
-  ASSERT_EQ(sc.paths().size(), 2u);
-  EXPECT_EQ(sc.wifi().id(), kWifiPathId);
-  ASSERT_NE(sc.cellular(), nullptr);
-  EXPECT_EQ(sc.cellular()->id(), kCellularPathId);
-  EXPECT_EQ(sc.wifi().description().kind, InterfaceKind::kWifi);
-  EXPECT_EQ(sc.cellular()->description().kind, InterfaceKind::kCellular);
+  const std::vector<NetPath*> paths = sc.paths();
+  ASSERT_EQ(paths.size(), 2u);
+  const NetPath& wifi = *paths[0];
+  const NetPath& lte = *paths[1];
+  EXPECT_EQ(wifi.id(), kWifiPathId);
+  EXPECT_EQ(lte.id(), kCellularPathId);
+  EXPECT_EQ(wifi.description().kind, InterfaceKind::kWifi);
+  EXPECT_EQ(lte.description().kind, InterfaceKind::kCellular);
   // Prefer-WiFi policy applied by default.
-  EXPECT_LT(sc.wifi().description().unit_cost,
-            sc.cellular()->description().unit_cost);
+  EXPECT_LT(wifi.description().unit_cost, lte.description().unit_cost);
   EXPECT_EQ(sc.wifi_bytes(), 0);
   EXPECT_EQ(sc.cellular_bytes(), 0);
 }
@@ -28,8 +29,8 @@ TEST(Scenario, WifiOnlyOmitsCellular) {
                                          DataRate::mbps(2.0));
   cfg.wifi_only = true;
   Scenario sc(cfg);
-  EXPECT_EQ(sc.paths().size(), 1u);
-  EXPECT_EQ(sc.cellular(), nullptr);
+  ASSERT_EQ(sc.paths().size(), 1u);
+  EXPECT_EQ(sc.paths()[0]->id(), kWifiPathId);
   EXPECT_EQ(sc.cellular_bytes(), 0);
 }
 
@@ -39,8 +40,8 @@ TEST(Scenario, RttConfigurationReachesPaths) {
   cfg.wifi_rtt = milliseconds(14);
   cfg.lte_rtt = milliseconds(52);
   Scenario sc(cfg);
-  EXPECT_EQ(sc.wifi().base_rtt(), milliseconds(14));
-  EXPECT_EQ(sc.cellular()->base_rtt(), milliseconds(52));
+  EXPECT_EQ(sc.paths()[kWifiPathId]->base_rtt(), milliseconds(14));
+  EXPECT_EQ(sc.paths()[kCellularPathId]->base_rtt(), milliseconds(52));
 }
 
 TEST(Session, SchemeNamesRoundTrip) {
@@ -79,6 +80,9 @@ TEST(Session, ResultAccountingConsistency) {
   Bytes media = 0;
   for (const auto& c : res.chunk_log) media += c.bytes;
   EXPECT_GE(res.wifi_bytes + res.cell_bytes, media);
+  // A lone session is flow 0: its per-flow slices are the whole links.
+  EXPECT_EQ(res.wifi_bytes, sc.wifi_bytes());
+  EXPECT_EQ(res.cell_bytes, sc.cellular_bytes());
 }
 
 TEST(Session, TimeLimitProducesIncompleteResult) {

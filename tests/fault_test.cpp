@@ -133,14 +133,13 @@ TEST(FaultInjector, BlackoutTogglesBothLinksAndRestores) {
   for (NetPath* p : scenario.paths()) injector.attach_path(p);
   injector.arm();
 
+  NetPath& wifi = *scenario.paths()[kWifiPathId];
   bool down_mid = false, up_after = true;
   scenario.loop().schedule_at(kTimeZero + seconds(3.5), [&] {
-    down_mid = scenario.wifi().downlink().is_down() &&
-               scenario.wifi().uplink().is_down();
+    down_mid = wifi.downlink().is_down() && wifi.uplink().is_down();
   });
   scenario.loop().schedule_at(kTimeZero + seconds(5.5), [&] {
-    up_after = !scenario.wifi().downlink().is_down() &&
-               !scenario.wifi().uplink().is_down();
+    up_after = !wifi.downlink().is_down() && !wifi.uplink().is_down();
   });
   scenario.loop().run();
   EXPECT_TRUE(down_mid);
@@ -153,7 +152,7 @@ TEST(FaultInjector, BlackoutTogglesBothLinksAndRestores) {
 TEST(FaultInjector, OverlappingImpairmentsComposeAndRestore) {
   Scenario scenario(
       constant_scenario(DataRate::mbps(5.0), DataRate::mbps(5.0)));
-  Link& down = scenario.wifi().downlink();
+  Link& down = scenario.paths()[kWifiPathId]->downlink();
   FaultPlan plan;
   plan.events.push_back(
       make_event(FaultKind::kRateCollapse, 1.0, 4.0, kWifiPathId, 0.5));
@@ -198,10 +197,11 @@ TEST(FaultInjector, FlapBalancesDownAndUpPhases) {
   for (NetPath* p : scenario.paths()) injector.attach_path(p);
   injector.arm();
 
+  const Link& down = scenario.paths()[kWifiPathId]->downlink();
   std::vector<bool> samples;  // at 2.5 (down), 3.5 (up), 4.5 (down), 7.5
   for (const double t : {2.5, 3.5, 4.5, 7.5}) {
     scenario.loop().schedule_at(kTimeZero + seconds(t), [&] {
-      samples.push_back(scenario.wifi().downlink().is_down());
+      samples.push_back(down.is_down());
     });
   }
   scenario.loop().run();

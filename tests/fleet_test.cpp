@@ -112,9 +112,12 @@ TEST(Fleet, AggregatesAreConsistentWithPerSessionRows) {
 
   int completed = 0;
   double qoe_sum = 0.0;
+  Bytes wifi = 0, cell = 0;
   for (const FleetSessionResult& s : r.sessions) {
     completed += s.result.completed ? 1 : 0;
     qoe_sum += s.qoe;
+    wifi += s.result.wifi_bytes;
+    cell += s.result.cell_bytes;
     EXPECT_EQ(s.qoe, s.result.steady_avg_bitrate_mbps -
                          kFleetStallPenalty * s.result.stall_s);
     EXPECT_EQ(s.seed, derive_stream_seed(
@@ -127,6 +130,9 @@ TEST(Fleet, AggregatesAreConsistentWithPerSessionRows) {
   EXPECT_GE(r.cell_fraction, 0.0);
   EXPECT_LE(r.cell_fraction, 1.0);
   EXPECT_GT(r.wifi_bytes + r.cell_bytes, 0);
+  // Every byte on the shared links belongs to exactly one tenant's flow.
+  EXPECT_EQ(wifi, r.wifi_bytes);
+  EXPECT_EQ(cell, r.cell_bytes);
   // Joins are staggered in session order.
   for (std::size_t i = 0; i < r.sessions.size(); ++i) {
     EXPECT_DOUBLE_EQ(r.sessions[i].join_s, static_cast<double>(i));
@@ -301,6 +307,33 @@ TEST(FleetRepro, JsonRoundTripsBitwise) {
   other_quantum.replace(at, 18, "\"fq_quantum\": 3000");
   EXPECT_FALSE(repro_bundle_from_json(other_quantum, &parsed, &err));
   EXPECT_EQ(err, "fleet config: missing or bad \"fq_quantum\"");
+
+  // Integer fields take whole numbers that fit the field, never a
+  // truncated, fallback or clamped stand-in that replays another run.
+  const struct {
+    const char* needle;
+    const char* replacement;
+    const char* want;
+  } cases[] = {
+      {"\"sessions\": 2", "\"sessions\": 4294967298",
+       "fleet config: missing or bad \"sessions\""},
+      {"\"sessions\": 2", "\"sessions\": 2.5",
+       "fleet config: missing or bad \"sessions\""},
+      {"\"sessions\": 2", "\"sessions\": 0",
+       "fleet config: missing or bad \"sessions\""},
+      {"\"chunk_count\": 6", "\"chunk_count\": 0",
+       "fleet config: missing or bad \"chunk_count\""},
+      {"\"seed\": 33", "\"seed\": 33.5",
+       "fleet bundle: missing or bad \"seed\""},
+  };
+  for (const auto& c : cases) {
+    std::string bad = text;
+    const std::size_t pos = bad.find(c.needle);
+    ASSERT_NE(pos, std::string::npos) << c.needle;
+    bad.replace(pos, std::string(c.needle).size(), c.replacement);
+    EXPECT_FALSE(repro_bundle_from_json(bad, &parsed, &err)) << c.replacement;
+    EXPECT_EQ(err, c.want);
+  }
 }
 
 TEST(FleetRepro, FileRoundTripAndPath) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <stdexcept>
 #include <vector>
 
+#include "exp/scenario.h"
 #include "link/link.h"
 #include "link/path.h"
 #include "link/shaper.h"
@@ -28,7 +30,7 @@ TEST(Link, SerializationPlusPropagation) {
   Link link(loop, cfg);
 
   TimePoint delivered_at = kTimeZero;
-  link.set_deliver_handler([&](Packet) { delivered_at = loop.now(); });
+  link.set_flow_deliver(0, [&](Packet) { delivered_at = loop.now(); });
   link.send(data_packet(1000));
   loop.run();
   // 1000 B at 1 MB/s = 1 ms serialize + 25 ms propagation.
@@ -45,7 +47,7 @@ TEST(Link, BackToBackPacketsQueueBehindEachOther) {
   Link link(loop, cfg);
 
   std::vector<double> times;
-  link.set_deliver_handler([&](Packet) {
+  link.set_flow_deliver(0, [&](Packet) {
     times.push_back(to_milliseconds(loop.now()));
   });
   link.send(data_packet(1000, 1));
@@ -64,7 +66,7 @@ TEST(Link, DropTailOnQueueOverflow) {
   Link link(loop, cfg);
 
   int delivered = 0;
-  link.set_deliver_handler([&](Packet) { ++delivered; });
+  link.set_flow_deliver(0, [&](Packet) { ++delivered; });
   for (int i = 0; i < 5; ++i) link.send(data_packet(1000, i + 1));
   loop.run();
   // 2 fit in the 2500 B queue; the rest drop.
@@ -84,7 +86,7 @@ TEST(Link, RespectsTimeVaryingRate) {
   Link link(loop, cfg);
 
   TimePoint last = kTimeZero;
-  link.set_deliver_handler([&](Packet) { last = loop.now(); });
+  link.set_flow_deliver(0, [&](Packet) { last = loop.now(); });
   // 1.5 MB: 1 MB in the first second, 0.5 MB at 0.1 MB/s = 5 s more.
   for (int i = 0; i < 1500; ++i) link.send(data_packet(1000, i + 1));
   loop.run();
@@ -101,7 +103,6 @@ TEST(Link, TraceSinkSeesSendDeliverDrop) {
   TraceCollector sink;
   telemetry.add_sink(&sink);
   link.set_telemetry(&telemetry);
-  link.set_deliver_handler([](Packet) {});
   link.send(data_packet(1000, 1));
   link.send(data_packet(1000, 2));
   loop.run();
@@ -133,7 +134,7 @@ TEST(Link, RandomLossDropsApproximately) {
     return v;
   });
   int delivered = 0;
-  link.set_deliver_handler([&](Packet) { ++delivered; });
+  link.set_flow_deliver(0, [&](Packet) { ++delivered; });
   for (int i = 0; i < 100; ++i) link.send(data_packet(500, i + 1));
   loop.run();
   EXPECT_NEAR(static_cast<double>(link.dropped_packets()), 30.0, 5.0);
@@ -171,50 +172,69 @@ TEST(Shaper, DropsWhenQueueFull) {
 }
 
 TEST(NetPath, RoutesDirectionsAndRtt) {
-  EventLoop loop;
-  PathEndpointsConfig cfg;
-  cfg.description.id = 3;
-  cfg.downlink_rate = BandwidthTrace::constant(DataRate::mbps(10.0));
-  cfg.uplink_rate = BandwidthTrace::constant(DataRate::mbps(10.0));
-  cfg.one_way_delay = milliseconds(30);
-  NetPath path(loop, cfg);
+  ScenarioConfig cfg =
+      constant_scenario(DataRate::mbps(10.0), DataRate::mbps(10.0));
+  cfg.lte_rtt = milliseconds(60);
+  Scenario sc(cfg);
+  NetPath& path = *sc.paths()[kCellularPathId];
   EXPECT_EQ(path.base_rtt(), milliseconds(60));
-  EXPECT_EQ(path.downlink().id(), 6);  // 2 * path id
-  EXPECT_EQ(path.uplink().id(), 7);
+  EXPECT_EQ(path.downlink().id(), 2);  // 2 * path id
+  EXPECT_EQ(path.uplink().id(), 3);
+  EXPECT_EQ(path.downlink().name(), "lte.down");
+  EXPECT_EQ(path.uplink().name(), "lte.up");
+  // Flow 2 rides the same links and stamps its own flow id.
+  NetPath& other = *sc.paths(2)[kCellularPathId];
+  EXPECT_EQ(&other.downlink(), &path.downlink());
+  EXPECT_EQ(sc.paths()[kCellularPathId], &path);  // built once per flow
 
-  int down = 0, up = 0;
+  int down = 0, up = 0, other_down = 0;
   path.set_downlink_deliver([&](Packet p) {
     ++down;
-    EXPECT_EQ(p.path_id, 3);  // stamped by the path
+    EXPECT_EQ(p.path_id, kCellularPathId);  // stamped by the path
+    EXPECT_EQ(p.flow, 0);
   });
   path.set_uplink_deliver([&](Packet) { ++up; });
+  other.set_downlink_deliver([&](Packet p) {
+    ++other_down;
+    EXPECT_EQ(p.flow, 2);
+  });
   path.send_downlink(data_packet(500, 1));
   path.send_uplink(data_packet(500, 2));
-  loop.run();
+  other.send_downlink(data_packet(700, 3));
+  sc.loop().run();
   EXPECT_EQ(down, 1);
   EXPECT_EQ(up, 1);
+  EXPECT_EQ(other_down, 1);
+  EXPECT_EQ(path.delivered_wire_bytes(), 1000);
+  EXPECT_EQ(other.delivered_wire_bytes(), 700);
+  EXPECT_EQ(sc.cellular_bytes(), 1700);
 }
 
 TEST(NetPath, DownlinkShaperThrottles) {
-  EventLoop loop;
-  PathEndpointsConfig cfg;
-  cfg.description.id = 0;
-  cfg.downlink_rate = BandwidthTrace::constant(DataRate::mbps(50.0));
-  cfg.uplink_rate = BandwidthTrace::constant(DataRate::mbps(10.0));
-  cfg.one_way_delay = kDurationZero;
+  ScenarioConfig cfg =
+      constant_scenario(DataRate::mbps(10.0), DataRate::mbps(50.0));
+  cfg.lte_rtt = kDurationZero;
   ShaperConfig shaper;
   shaper.rate = DataRate::kbps(700.0);
   shaper.burst = 1500;
   shaper.queue_capacity = 10'000'000;
-  cfg.downlink_shaper = shaper;
-  NetPath path(loop, cfg);
+  cfg.lte_throttle = shaper;
+  Scenario sc(cfg);
+  Telemetry telemetry;
+  sc.set_telemetry(&telemetry);
+  NetPath& path = *sc.paths()[kCellularPathId];
 
   TimePoint last = kTimeZero;
-  path.set_downlink_deliver([&](Packet) { last = loop.now(); });
+  path.set_downlink_deliver([&](Packet) { last = sc.loop().now(); });
   // 88.5 KB at 87.5 KB/s (700 kbps) minus the burst: ~1 s.
   for (int i = 0; i < 89; ++i) path.send_downlink(data_packet(1000, i + 1));
-  loop.run();
+  sc.loop().run();
   EXPECT_GT(to_seconds(last), 0.9);
+  // The throttle reports under the lte interface's name.
+  EXPECT_EQ(
+      telemetry.metrics().counter("shaper.lte.forwarded_bytes").value(),
+      89'000.0);
+  sc.set_telemetry(nullptr);
 }
 
 // --- fair queueing (DRR) on shared links --------------------------------
@@ -223,6 +243,12 @@ Packet flow_packet(int flow, Bytes wire, std::uint64_t id) {
   Packet p = data_packet(wire, id);
   p.flow = flow;
   return p;
+}
+
+// Routes every listed flow's deliveries to `h`.
+void deliver_flows(Link& link, std::initializer_list<int> flows,
+                   const Link::DeliverHandler& h) {
+  for (const int flow : flows) link.set_flow_deliver(flow, h);
 }
 
 LinkConfig fq_config() {
@@ -241,7 +267,7 @@ TEST(FairQueue, DrrInterleavesABurstWithALateArrival) {
   EventLoop loop;
   Link link(loop, fq_config());
   std::vector<int> order;
-  link.set_deliver_handler([&](Packet p) { order.push_back(p.flow); });
+  deliver_flows(link, {0, 1}, [&](Packet p) { order.push_back(p.flow); });
   for (int i = 0; i < 4; ++i) link.send(flow_packet(0, 1000, i + 1));
   for (int i = 0; i < 4; ++i) link.send(flow_packet(1, 1000, 10 + i));
   loop.run();
@@ -264,7 +290,7 @@ TEST(FairQueue, FifoOrderingIsPreservedUnderTheDefaultDiscipline) {
   cfg.discipline = QueueDiscipline::kFifo;
   Link link(loop, cfg);
   std::vector<int> order;
-  link.set_deliver_handler([&](Packet p) { order.push_back(p.flow); });
+  deliver_flows(link, {0, 1}, [&](Packet p) { order.push_back(p.flow); });
   for (int i = 0; i < 4; ++i) link.send(flow_packet(0, 1000, i + 1));
   for (int i = 0; i < 4; ++i) link.send(flow_packet(1, 1000, 10 + i));
   loop.run();
@@ -282,9 +308,7 @@ TEST(FairQueue, LongestQueueDropChargesTheAggressiveFlow) {
   cfg.queue_capacity = 3000;
   Link link(loop, cfg);
   int light_delivered = 0;
-  link.set_deliver_handler([&](Packet p) {
-    if (p.flow == 1) ++light_delivered;
-  });
+  link.set_flow_deliver(1, [&](Packet) { ++light_delivered; });
   for (int i = 0; i < 5; ++i) link.send(flow_packet(0, 1000, i + 1));
   link.send(flow_packet(1, 1000, 10));
   loop.run();
@@ -301,7 +325,7 @@ TEST(FairQueue, LoneFlowAccumulatesQuantaForAJumboPacket) {
   EventLoop loop;
   Link link(loop, fq_config());  // quantum 1500
   int delivered = 0;
-  link.set_deliver_handler([&](Packet) { ++delivered; });
+  link.set_flow_deliver(3, [&](Packet) { ++delivered; });
   link.send(flow_packet(3, 4000, 1));
   link.send(flow_packet(3, 1000, 2));
   loop.run();
@@ -310,30 +334,32 @@ TEST(FairQueue, LoneFlowAccumulatesQuantaForAJumboPacket) {
 }
 
 TEST(FairQueue, FlowDeliverHandlersDemux) {
-  // Per-flow handlers receive exactly their flow; unregistered flows fall
-  // back to the default handler. Registering a handler also turns on
-  // per-flow accounting even under FIFO.
+  // Per-flow handlers receive exactly their flow; a flow with no handler
+  // is counted and discarded. Per-flow accounting holds under FIFO too.
   EventLoop loop;
   LinkConfig cfg = fq_config();
   cfg.discipline = QueueDiscipline::kFifo;
   Link link(loop, cfg);
-  int flow1 = 0, fallback = 0;
+  int flow0 = 0, flow1 = 0;
+  link.set_flow_deliver(0, [&](Packet p) {
+    EXPECT_EQ(p.flow, 0);
+    ++flow0;
+  });
   link.set_flow_deliver(1, [&](Packet p) {
     EXPECT_EQ(p.flow, 1);
     ++flow1;
   });
-  link.set_deliver_handler([&](Packet p) {
-    EXPECT_NE(p.flow, 1);
-    ++fallback;
-  });
   link.send(flow_packet(0, 1000, 1));
   link.send(flow_packet(1, 1000, 2));
   link.send(flow_packet(1, 1000, 3));
+  link.send(flow_packet(2, 1000, 4));
   loop.run();
   EXPECT_EQ(flow1, 2);
-  EXPECT_EQ(fallback, 1);
+  EXPECT_EQ(flow0, 1);
   EXPECT_EQ(link.delivered_bytes_for_flow(1), 2000);
   EXPECT_EQ(link.delivered_bytes_for_flow(0), 1000);
+  EXPECT_EQ(link.delivered_bytes_for_flow(2), 1000);
+  EXPECT_EQ(link.delivered_bytes(), 4000);
 }
 
 TEST(FairQueue, SparseFlowIdsShedLongestQueueLowestIdFirst) {
@@ -345,7 +371,6 @@ TEST(FairQueue, SparseFlowIdsShedLongestQueueLowestIdFirst) {
   cfg.rate = BandwidthTrace::constant(DataRate::mbps(1.0));
   cfg.queue_capacity = 7000;
   Link link(loop, cfg);
-  link.set_deliver_handler([](Packet) {});
   link.send(flow_packet(5, 1000, 1));  // on the radio, out of flow 5's queue
   std::uint64_t id = 10;
   for (int flow : {63, 9, 0}) {
@@ -377,7 +402,6 @@ TEST(FairQueue, SetDownDropsFlowsAscendingFrontToBack) {
   TraceCollector sink;
   telemetry.add_sink(&sink);
   link.set_telemetry(&telemetry);
-  link.set_deliver_handler([](Packet) {});
   auto tagged = [](int flow, std::uint64_t tag) {
     Packet p = flow_packet(flow, 1000, tag);
     p.data_seq = tag;
@@ -433,6 +457,8 @@ TEST(FairQueue, NegativeFlowIdThrows) {
   desc.name = "wifi";
   EXPECT_THROW(NetPath(desc, down, up, -3), std::invalid_argument);
   EXPECT_NO_THROW(NetPath(desc, down, up, 0));
+  Scenario sc(constant_scenario(DataRate::mbps(1.0), DataRate::mbps(1.0)));
+  EXPECT_THROW(sc.paths(-1), std::invalid_argument);
 }
 
 }  // namespace

@@ -57,7 +57,7 @@ TEST(Robustness, StreamSurvivesBurstyWifiLoss) {
   ASSERT_TRUE(res.completed);
   EXPECT_EQ(res.chunks, 12);
   // The bursts actually bit: the WiFi downlink recorded drops.
-  EXPECT_GT(scenario.wifi().downlink().dropped_packets(), 0u);
+  EXPECT_GT(scenario.paths()[kWifiPathId]->downlink().dropped_packets(), 0u);
 }
 
 TEST(Robustness, WifiBlackoutMidSessionCellularRescues) {

@@ -84,6 +84,15 @@ TEST(SessionSpecJson, RejectsMalformedInputWithFieldErrors) {
       {"\"recovery\": false", "\"recovery\": \"no\"", "recovery"},
       {"\"wifi_mbps\": ", "\"wifi\": ", "scenario.wifi_mbps"},
       {"\"max_wall_s\": ", "\"wall\": ", "watchdog.max_wall_s"},
+      // Integer fields take whole numbers that fit, nothing else.
+      {"\"debounce_ticks\": 3", "\"debounce_ticks\": 2.5", "debounce_ticks"},
+      {"\"inflight\": 3", "\"inflight\": 4294967299", "inflight"},
+      {"\"max_chunk_attempts\": 5", "\"max_chunk_attempts\": 5e0",
+       "max_chunk_attempts"},
+      {"\"time_limit_ns\": 123500000000", "\"time_limit_ns\": 123.5",
+       "time_limit_ns"},
+      {"\"max_sim_events\": 1000", "\"max_sim_events\": -1",
+       "watchdog.max_sim_events"},
   };
   const std::string good = session_spec_to_json(sample_spec());
   for (const auto& c : cases) {

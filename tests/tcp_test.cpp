@@ -36,7 +36,7 @@ struct Harness {
             loop, SubflowConfig{},
             [this](Packet p) { fwd.send(std::move(p)); },
             [this] { pump(); }) {
-    fwd.set_deliver_handler([this](Packet p) {
+    fwd.set_flow_deliver(0, [this](Packet p) {
       received += p.payload_len;
       highest_seq = std::max(highest_seq, p.subflow_seq);
       Packet ack;
@@ -47,7 +47,7 @@ struct Harness {
       ack.echo_is_retransmit = p.is_retransmit;
       rev.send(std::move(ack));
     });
-    rev.set_deliver_handler([this](Packet p) { sender.on_ack(p); });
+    rev.set_flow_deliver(0, [this](Packet p) { sender.on_ack(p); });
   }
 
   Bytes to_send = 0;
